@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpbody"
 	"repro/internal/mathx"
 )
 
@@ -227,7 +228,7 @@ var errAllReplicasFailed = errors.New("front: no replica reachable")
 // walk and streams back verbatim.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := httpbody.Read(w, r, maxBodyBytes, nil)
 	if err != nil {
 		writeFrontError(w, http.StatusRequestEntityTooLarge, "body_too_large", err)
 		return

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/attacks"
 	"repro/internal/detect"
+	"repro/internal/httpbody"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
@@ -45,6 +46,16 @@ func (p imagePayload) tensor() (*tensor.Tensor, error) {
 	return tensor.FromSlice(p.Pixels, p.Shape...), nil
 }
 
+func (p *imagePayload) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "pixels"):
+		return &p.Pixels
+	case wireKey(key, "shape"):
+		return &p.Shape
+	}
+	return nil
+}
+
 // predictRequest is the /v1/predict body: one image, an optional threat
 // model ("1".."3", "tm2", "TM-II", … — empty selects the server default)
 // and whether to echo the full probability vector.
@@ -60,6 +71,20 @@ type predictRequest struct {
 	ReturnProbs bool   `json:"probs,omitempty"`
 }
 
+func (r *predictRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "tm"):
+		return &r.TM
+	case wireKey(key, "precision"):
+		return &r.Precision
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "probs"):
+		return &r.ReturnProbs
+	}
+	return r.imagePayload.wireMember(key)
+}
+
 // predictBatchRequest is the /v1/predict_batch body.
 type predictBatchRequest struct {
 	Images      []imagePayload `json:"images"`
@@ -67,6 +92,22 @@ type predictBatchRequest struct {
 	Precision   string         `json:"precision,omitempty"`
 	Model       string         `json:"model,omitempty"`
 	ReturnProbs bool           `json:"probs,omitempty"`
+}
+
+func (r *predictBatchRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "images"):
+		return &r.Images
+	case wireKey(key, "tm"):
+		return &r.TM
+	case wireKey(key, "precision"):
+		return &r.Precision
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "probs"):
+		return &r.ReturnProbs
+	}
+	return nil
 }
 
 // predictResponse is the wire form of one Prediction.
@@ -113,7 +154,8 @@ func toResponse(p Prediction, withProbs bool) predictResponse {
 // status-class counters feed /metrics. Error responses are structured
 // JSON with a machine-readable "code": admission sheds are 429 with a
 // Retry-After header, drain/shutdown refusals 503, server-side deadline
-// hits 504.
+// hits 504, a body over maxBodyBytes 413. POST bodies are decoded by the
+// wire decoder (wire.go); bytes after the body's one JSON value are a 400.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", s.instrument("predict", s.handlePredict))
@@ -142,6 +184,20 @@ type defendHTTPRequest struct {
 	// true; set "return_pixels": false to save bandwidth when only
 	// predicting).
 	ReturnPixels *bool `json:"return_pixels,omitempty"`
+}
+
+func (r *defendHTTPRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "filter"):
+		return &r.Filter
+	case wireKey(key, "predict"):
+		return &r.Predict
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "return_pixels"):
+		return &r.ReturnPixels
+	}
+	return r.imagePayload.wireMember(key)
 }
 
 // defendHTTPResponse is the /v1/defend reply.
@@ -195,6 +251,18 @@ type detectHTTPRequest struct {
 	TM       string `json:"tm,omitempty"`
 	// Model selects the probing model ("" = active default).
 	Model string `json:"model,omitempty"`
+}
+
+func (r *detectHTTPRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "detector"):
+		return &r.Detector
+	case wireKey(key, "tm"):
+		return &r.TM
+	case wireKey(key, "model"):
+		return &r.Model
+	}
+	return r.imagePayload.wireMember(key)
 }
 
 // detectHTTPResponse is the /v1/detect reply: the verdict, the
@@ -273,6 +341,28 @@ type attackHTTPRequest struct {
 	Model string `json:"model,omitempty"`
 	// ReturnAdv echoes the crafted adversarial image in the response.
 	ReturnAdv bool `json:"adv,omitempty"`
+}
+
+func (r *attackHTTPRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "attack"):
+		return &r.Attack
+	case wireKey(key, "source"):
+		return &r.Source
+	case wireKey(key, "target"):
+		return &r.Target
+	case wireKey(key, "tm"):
+		return &r.TM
+	case wireKey(key, "aware"):
+		return &r.Aware
+	case wireKey(key, "adaptive"):
+		return &r.Adaptive
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "adv"):
+		return &r.ReturnAdv
+	}
+	return r.imagePayload.wireMember(key)
 }
 
 // attackHTTPResponse flattens a core.Outcome onto the wire.
@@ -375,6 +465,20 @@ type evalHTTPCase struct {
 	Shape  []int     `json:"shape,omitempty"`
 }
 
+func (c *evalHTTPCase) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "source"):
+		return &c.Source
+	case wireKey(key, "target"):
+		return &c.Target
+	case wireKey(key, "pixels"):
+		return &c.Pixels
+	case wireKey(key, "shape"):
+		return &c.Shape
+	}
+	return nil
+}
+
 // evalHTTPRequest is the /v1/evaluate body.
 type evalHTTPRequest struct {
 	Attacks []string `json:"attacks"`
@@ -394,6 +498,28 @@ type evalHTTPRequest struct {
 	// selects the default ensemble), "none" to disable for this sweep,
 	// empty to inherit the server's configured detector.
 	Detector string `json:"detector,omitempty"`
+}
+
+func (r *evalHTTPRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "attacks"):
+		return &r.Attacks
+	case wireKey(key, "tms"):
+		return &r.TMs
+	case wireKey(key, "filters"):
+		return &r.Filters
+	case wireKey(key, "cases"):
+		return &r.Cases
+	case wireKey(key, "aware"):
+		return &r.Aware
+	case wireKey(key, "adaptive"):
+		return &r.Adaptive
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "detector"):
+		return &r.Detector
+	}
+	return nil
 }
 
 // evalHTTPCell adds the wire threat-model label to an EvalCell.
@@ -622,6 +748,18 @@ type modelsActionRequest struct {
 	Keep bool `json:"keep,omitempty"`
 }
 
+func (r *modelsActionRequest) wireMember(key []byte) any {
+	switch {
+	case wireKey(key, "action"):
+		return &r.Action
+	case wireKey(key, "model"):
+		return &r.Model
+	case wireKey(key, "keep"):
+		return &r.Keep
+	}
+	return nil
+}
+
 // handleModels is the /v1/models route. GET lists the active version,
 // every loaded version, and (when a registry is configured) the
 // registry's catalog; POST executes a load/activate/unload action.
@@ -727,13 +865,27 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return false
+// decodeJSON reads the bounded request body into a pooled buffer and
+// decodes it into dst with the wire decoder (wire.go). On failure it
+// writes the error response — 413 for a body over maxBodyBytes, 400 for
+// everything else — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst wireObject) bool {
+	d := wirePool.Get().(*wireDecoder)
+	defer d.release()
+	var err error
+	if d.buf, err = httpbody.Read(w, r, maxBodyBytes, d.buf); err == nil {
+		err = d.decode(dst)
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large", err)
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	}
+	return false
 }
 
 // writePredictError maps Predict errors onto HTTP statuses.

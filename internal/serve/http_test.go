@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,8 +128,16 @@ func TestHTTPPredictBatch(t *testing.T) {
 	}
 }
 
+// neverRead is a request body that must be refused unread.
+type neverRead struct{ t *testing.T }
+
+func (r neverRead) Read([]byte) (int, error) {
+	r.t.Error("body was read")
+	return 0, io.EOF
+}
+
 func TestHTTPErrors(t *testing.T) {
-	_, ts := startHTTP(t)
+	s, ts := startHTTP(t)
 	cases := []struct {
 		name   string
 		path   string
@@ -161,6 +172,26 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("malformed JSON: status %d", resp.StatusCode)
 	}
 
+	// The two places the wire decoder is stricter than json.Decoder was:
+	// bytes after the body's value, and a body over the size limit (413,
+	// refused on its declared length before a byte of it is read).
+	resp, err = http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(`{"pixels":[1],"shape":[1]} {}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data: status %d, want 400", resp.StatusCode)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", io.LimitReader(neverRead{t}, maxBodyBytes+1))
+	req.ContentLength = maxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusRequestEntityTooLarge || e["code"] != "too_large" {
+		t.Errorf("oversized body: status %d body %q, want 413 with code too_large", rec.Code, rec.Body)
+	}
+
 	// Wrong methods.
 	for path, method := range map[string]string{
 		"/v1/predict": http.MethodGet,
@@ -175,6 +206,87 @@ func TestHTTPErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: status %d, want 405", method, path, resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPBodyFraming: the answer does not depend on how the body is
+// framed, and a body that stops short of its Content-Length is a 400.
+func TestHTTPBodyFraming(t *testing.T) {
+	_, ts := startHTTP(t)
+	body := imgPayload(gtsrb.ClassStop)
+	body["probs"] = true
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := postJSON(t, ts.URL+"/v1/predict", body)
+
+	// No Content-Length: an opaque reader makes the client send chunks.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", io.MultiReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || req.ContentLength != 0 || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("chunked body (declared length %d): status %d, err %v, answer differs: %v", req.ContentLength, resp.StatusCode, err, !bytes.Equal(got, want))
+	}
+
+	// Content-Length larger than the bytes sent.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(data)+100, data)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	short, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Body.Close()
+	if short.StatusCode != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400", short.StatusCode)
+	}
+}
+
+// TestHTTPBatchNamesBadImage: a batch whose 7th image is wrong says which
+// image (a well-formed one of the wrong size) or where (a syntax error).
+func TestHTTPBatchNamesBadImage(t *testing.T) {
+	_, ts := startHTTP(t)
+	good, err := json.Marshal(imgPayload(gtsrb.ClassStop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(seventh string) string {
+		imgs := make([]string, 8)
+		for i := range imgs {
+			imgs[i] = string(good)
+		}
+		imgs[6] = seventh
+		return `{"images":[` + strings.Join(imgs, ",") + `]}`
+	}
+	syntax := batch(`{"pixels":[0.5,oops],"shape":[3,16,16]}`)
+	for _, c := range []struct{ name, body, want string }{
+		{"wrong size", batch(`{"pixels":[0.5],"shape":[3,16,16]}`), "image 6"},
+		{"syntax error", syntax, fmt.Sprintf("offset %d", strings.Index(syntax, "oops"))},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/predict_batch", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e map[string]string
+		if err := json.Unmarshal(raw, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], c.want) {
+			t.Errorf("%s: status %d, error %q, want 400 mentioning %q", c.name, resp.StatusCode, e["error"], c.want)
 		}
 	}
 }
