@@ -159,9 +159,14 @@ func main() {
 	}
 }
 
-// listAttacks prints every registry attack and filter with its spec
-// parameters.
+// listAttacks prints every registry attack, filter and the detector with
+// their spec parameters, straight from the Params() descriptors.
 func listAttacks() {
+	printParams := func(ps []fademl.Param) {
+		for _, p := range ps {
+			fmt.Printf("      %-10s %s (%s, default %s)\n", p.Name, p.Doc, p.Range(), p.Get())
+		}
+	}
 	fmt.Println("attacks (configure via 'name(key=value,...)'):")
 	for _, name := range fademl.AttackNames() {
 		atk, err := fademl.NewAttack(name)
@@ -170,9 +175,7 @@ func listAttacks() {
 		}
 		fmt.Printf("  %s\n", atk.Name())
 		if cfg, ok := atk.(fademl.ConfigurableAttack); ok {
-			for _, p := range cfg.Params() {
-				fmt.Printf("      %-10s %s (default %s)\n", p.Name, p.Doc, p.Get())
-			}
+			printParams(cfg.Params())
 		}
 	}
 	fmt.Println("\nfilters (configure via 'name(key=value,...)'; compose via 'chain(a,b)'):")
@@ -183,16 +186,13 @@ func listAttacks() {
 		}
 		fmt.Printf("  %s\n", f.Name())
 		if cfg, ok := f.(fademl.ConfigurableFilter); ok {
-			for _, p := range cfg.Params() {
-				fmt.Printf("      %-10s %s (default %s)\n", p.Name, p.Doc, p.Get())
-			}
+			printParams(cfg.Params())
 		}
 	}
 	fmt.Println("\ndetector specs (fademl-serve -detect, /v1/detect, /v1/evaluate \"detector\"):")
-	fmt.Printf("  %s   (bare 'detect' = this default)\n", fademl.DefaultDetector().Name())
-	fmt.Println("      squeezers  parenthesized filter-spec list; discrepancy = max over squeezers")
-	fmt.Println("      metric     l1 (probability-vector distance, default) or top1 (class disagreement)")
-	fmt.Println("      thr        flag cutoff: score > thr marks the input adversarial (default 1)")
+	det := fademl.DefaultDetector()
+	fmt.Printf("  %s   (bare 'detect' = this default)\n", det.Name())
+	printParams(det.Params())
 	fmt.Println("\nexamples: -attack 'pgd(eps=0.03,steps=40)' -filter 'chain(median(r=1),lap(np=32))'")
 	fmt.Println("          fademl-serve -detect 'detect(squeezers=(bitdepth(bits=4),median(r=1)),thr=0.6)'")
 }

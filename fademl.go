@@ -123,11 +123,11 @@ type (
 	Progress = attacks.Progress
 	// Param describes one spec-settable attack knob.
 	Param = attacks.Param
-	// ConfigurableAttack is an attack exposing Params()/Set knobs.
+	// ConfigurableAttack is an attack exposing its knobs as Params().
 	ConfigurableAttack = attacks.Configurable
 	// FilterParam describes one spec-settable filter knob.
 	FilterParam = filters.Param
-	// ConfigurableFilter is a filter exposing Params()/Set knobs.
+	// ConfigurableFilter is a filter exposing its knobs as Params().
 	ConfigurableFilter = filters.Configurable
 	// Classifier is the attacker's differentiable model interface.
 	Classifier = attacks.Classifier

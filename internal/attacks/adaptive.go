@@ -2,10 +2,9 @@ package attacks
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/filters"
+	"repro/internal/spec"
 )
 
 // Adaptive crafting modes: how much of the deployed pre-processing
@@ -42,6 +41,21 @@ type AdaptiveMode struct {
 	Draws int
 }
 
+// maxEOTDraws caps eot(draws=N): a composite classifier counts as one
+// query against the attack budget however many inner passes it fans out
+// to, so draws multiplies real work the budget cannot see.
+const maxEOTDraws = 256
+
+// params lists the mode's knobs: eot has draws, blind and bpda none.
+func (m *AdaptiveMode) params() []spec.Param {
+	if m.Kind != AdaptiveEOT {
+		return nil
+	}
+	return []spec.Param{
+		spec.Int("draws", "stochastic-stage samples averaged per gradient query", &m.Draws, 1, maxEOTDraws),
+	}
+}
+
 // ParseAdaptive builds an adaptive mode from a spec string:
 //
 //	"blind"          → attack the bare classifier
@@ -50,41 +64,23 @@ type AdaptiveMode struct {
 //	"eot(draws=32)"  → BPDA + averaging over 32 draws
 //
 // ParseAdaptive(m.Name()) round-trips for every accepted spec.
-func ParseAdaptive(spec string) (AdaptiveMode, error) {
-	name, args, err := splitSpec(spec)
+func ParseAdaptive(s string) (AdaptiveMode, error) {
+	name, args, err := spec.Split(s)
 	if err != nil {
-		return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q: malformed spec", spec)
+		return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode: %w", err)
 	}
+	m := AdaptiveMode{Kind: name}
 	switch name {
 	case AdaptiveBlind, AdaptiveBPDA:
-		if args != "" {
-			return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q accepts no parameters", name)
-		}
-		return AdaptiveMode{Kind: name}, nil
 	case AdaptiveEOT:
-		m := AdaptiveMode{Kind: AdaptiveEOT, Draws: defaultEOTDraws}
-		if args == "" {
-			return m, nil
-		}
-		for _, kv := range splitTopLevel(args) {
-			key, value, found := strings.Cut(kv, "=")
-			key, value = strings.TrimSpace(key), strings.TrimSpace(value)
-			if !found || key != "draws" {
-				return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q: want draws=N, got %q", spec, strings.TrimSpace(kv))
-			}
-			n, err := strconv.Atoi(value)
-			if err != nil {
-				return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q: draws: want an integer, got %q", spec, value)
-			}
-			if n <= 0 {
-				return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q: draws must be positive, got %d", spec, n)
-			}
-			m.Draws = n
-		}
-		return m, nil
+		m.Draws = defaultEOTDraws
 	default:
 		return AdaptiveMode{}, fmt.Errorf("attacks: unknown adaptive mode %q (have %v)", name, AdaptiveModes())
 	}
+	if err := spec.Assign(m.params(), args); err != nil {
+		return AdaptiveMode{}, fmt.Errorf("attacks: adaptive mode %q: %w", s, err)
+	}
+	return m, nil
 }
 
 // AdaptiveModes returns the accepted adaptive-mode kinds in
@@ -94,12 +90,7 @@ func AdaptiveModes() []string {
 }
 
 // Name returns the canonical spec; ParseAdaptive(m.Name()) reconstructs m.
-func (m AdaptiveMode) Name() string {
-	if m.Kind == AdaptiveEOT {
-		return fmt.Sprintf("eot(draws=%d)", m.Draws)
-	}
-	return m.Kind
-}
+func (m AdaptiveMode) Name() string { return spec.Format(m.Kind, m.params()) }
 
 // Classifier builds the attacker's differentiable view of a system that
 // deploys pre in front of inner.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -27,20 +28,17 @@ func NewBIM() *BIM {
 }
 
 // Name implements Attack.
-func (b *BIM) Name() string { return specName("bim", b.Params()) }
+func (b *BIM) Name() string { return spec.Format("bim", b.Params()) }
 
 // Params implements Configurable.
 func (b *BIM) Params() []Param {
 	return []Param{
-		floatParam("eps", "total L∞ budget", &b.Epsilon),
-		floatParam("alpha", "per-step size", &b.Alpha),
-		intParam("steps", "iteration count", &b.Steps),
-		boolParam("early", "stop once the goal is achieved", &b.EarlyStop),
+		spec.Float("eps", "total L∞ budget", &b.Epsilon, spec.MinPositive, 1),
+		spec.Float("alpha", "per-step size", &b.Alpha, spec.MinPositive, 1),
+		spec.Int("steps", "iteration count", &b.Steps, 1, maxSteps),
+		spec.Bool("early", "stop once the goal is achieved", &b.EarlyStop),
 	}
 }
-
-// Set implements Configurable.
-func (b *BIM) Set(name, value string) error { return setParam(b.Params(), name, value) }
 
 // Generate implements Attack.
 func (b *BIM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -36,21 +37,18 @@ func NewCW() *CW {
 }
 
 // Name implements Attack.
-func (a *CW) Name() string { return specName("cw", a.Params()) }
+func (a *CW) Name() string { return spec.Format("cw", a.Params()) }
 
 // Params implements Configurable.
 func (a *CW) Params() []Param {
 	return []Param{
-		floatParam("kappa", "confidence margin κ", &a.Kappa),
-		intParam("steps", "optimizer iterations per c value", &a.Steps),
-		floatParam("lr", "optimizer learning rate", &a.LR),
-		floatParam("c", "initial margin weight for the c search", &a.InitialC),
-		intParam("search", "binary-search depth over c", &a.BinarySearch),
+		spec.Float("kappa", "confidence margin κ", &a.Kappa, 0, 100),
+		spec.Int("steps", "optimizer iterations per c value", &a.Steps, 1, maxSteps),
+		spec.Float("lr", "optimizer learning rate", &a.LR, spec.MinPositive, 10),
+		spec.Float("c", "initial margin weight for the c search", &a.InitialC, spec.MinPositive, 1e6),
+		spec.Int("search", "binary-search depth over c", &a.BinarySearch, 1, 64),
 	}
 }
-
-// Set implements Configurable.
-func (a *CW) Set(name, value string) error { return setParam(a.Params(), name, value) }
 
 // Generate implements Attack. The C&W formulation is targeted.
 func (a *CW) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {

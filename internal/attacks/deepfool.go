@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -29,19 +30,16 @@ func NewDeepFool() *DeepFool {
 }
 
 // Name implements Attack.
-func (d *DeepFool) Name() string { return specName("deepfool", d.Params()) }
+func (d *DeepFool) Name() string { return spec.Format("deepfool", d.Params()) }
 
 // Params implements Configurable.
 func (d *DeepFool) Params() []Param {
 	return []Param{
-		intParam("iters", "maximum linearization iterations", &d.MaxIter),
-		floatParam("overshoot", "boundary-crossing inflation", &d.Overshoot),
-		intParam("candidates", "runner-up classes searched (0 = all)", &d.Candidates),
+		spec.Int("iters", "maximum linearization iterations", &d.MaxIter, 1, maxSteps),
+		spec.Float("overshoot", "boundary-crossing inflation", &d.Overshoot, 0, 10),
+		spec.Int("candidates", "runner-up classes searched (0 = all)", &d.Candidates, 0, 1024),
 	}
 }
-
-// Set implements Configurable.
-func (d *DeepFool) Set(name, value string) error { return setParam(d.Params(), name, value) }
 
 // Generate implements Attack. DeepFool is untargeted: the goal's Target
 // must be Untargeted, and success means leaving the source class.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -20,17 +21,14 @@ type FGSM struct {
 func NewFGSM() *FGSM { return &FGSM{Epsilon: 8.0 / 255} }
 
 // Name implements Attack.
-func (f *FGSM) Name() string { return specName("fgsm", f.Params()) }
+func (f *FGSM) Name() string { return spec.Format("fgsm", f.Params()) }
 
 // Params implements Configurable.
 func (f *FGSM) Params() []Param {
 	return []Param{
-		floatParam("eps", "L∞ step size in [0,1] pixel units", &f.Epsilon),
+		spec.Float("eps", "L∞ step size in [0,1] pixel units", &f.Epsilon, spec.MinPositive, 1),
 	}
 }
-
-// Set implements Configurable.
-func (f *FGSM) Set(name, value string) error { return setParam(f.Params(), name, value) }
 
 // Generate implements Attack.
 func (f *FGSM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {

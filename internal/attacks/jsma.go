@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -23,18 +24,15 @@ type JSMA struct {
 func NewJSMA() *JSMA { return &JSMA{Theta: 0.2, MaxPixelFrac: 0.10} }
 
 // Name implements Attack.
-func (j *JSMA) Name() string { return specName("jsma", j.Params()) }
+func (j *JSMA) Name() string { return spec.Format("jsma", j.Params()) }
 
 // Params implements Configurable.
 func (j *JSMA) Params() []Param {
 	return []Param{
-		floatParam("theta", "per-step pixel change", &j.Theta),
-		floatParam("frac", "fraction of features that may be modified", &j.MaxPixelFrac),
+		spec.Float("theta", "per-step pixel change (negative darkens; 0 is rejected at Generate)", &j.Theta, -1, 1),
+		spec.Float("frac", "fraction of features that may be modified", &j.MaxPixelFrac, spec.MinPositive, 1),
 	}
 }
-
-// Set implements Configurable.
-func (j *JSMA) Set(name, value string) error { return setParam(j.Params(), name, value) }
 
 // Generate implements Attack. JSMA is targeted.
 func (j *JSMA) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/lbfgs"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -34,19 +35,16 @@ func NewLBFGS() *LBFGS {
 }
 
 // Name implements Attack.
-func (l *LBFGS) Name() string { return specName("lbfgs", l.Params()) }
+func (l *LBFGS) Name() string { return spec.Format("lbfgs", l.Params()) }
 
 // Params implements Configurable.
 func (l *LBFGS) Params() []Param {
 	return []Param{
-		floatParam("c", "starting distortion weight", &l.InitialC),
-		intParam("csteps", "distortion-weight halvings searched", &l.CSteps),
-		intParam("iters", "L-BFGS iterations per c value", &l.MaxIter),
+		spec.Float("c", "starting distortion weight", &l.InitialC, spec.MinPositive, 1e6),
+		spec.Int("csteps", "distortion-weight halvings searched", &l.CSteps, 1, 64),
+		spec.Int("iters", "L-BFGS iterations per c value", &l.MaxIter, 1, maxSteps),
 	}
 }
-
-// Set implements Configurable.
-func (l *LBFGS) Set(name, value string) error { return setParam(l.Params(), name, value) }
 
 // Generate implements Attack. Untargeted goals are not supported: the
 // formulation needs a target class (the paper's scenarios are targeted).

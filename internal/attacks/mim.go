@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -30,21 +31,18 @@ func NewMIM() *MIM {
 }
 
 // Name implements Attack.
-func (m *MIM) Name() string { return specName("mim", m.Params()) }
+func (m *MIM) Name() string { return spec.Format("mim", m.Params()) }
 
 // Params implements Configurable.
 func (m *MIM) Params() []Param {
 	return []Param{
-		floatParam("eps", "total L∞ budget", &m.Epsilon),
-		floatParam("alpha", "per-step size", &m.Alpha),
-		intParam("steps", "iteration count", &m.Steps),
-		floatParam("decay", "momentum factor μ", &m.Decay),
-		boolParam("early", "stop once the goal is achieved", &m.EarlyStop),
+		spec.Float("eps", "total L∞ budget", &m.Epsilon, spec.MinPositive, 1),
+		spec.Float("alpha", "per-step size", &m.Alpha, spec.MinPositive, 1),
+		spec.Int("steps", "iteration count", &m.Steps, 1, maxSteps),
+		spec.Float("decay", "momentum factor μ", &m.Decay, 0, 10),
+		spec.Bool("early", "stop once the goal is achieved", &m.EarlyStop),
 	}
 }
-
-// Set implements Configurable.
-func (m *MIM) Set(name, value string) error { return setParam(m.Params(), name, value) }
 
 // Generate implements Attack.
 func (m *MIM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -36,20 +37,17 @@ func NewOnePixel() *OnePixel {
 }
 
 // Name implements Attack.
-func (o *OnePixel) Name() string { return specName("onepixel", o.Params()) }
+func (o *OnePixel) Name() string { return spec.Format("onepixel", o.Params()) }
 
 // Params implements Configurable.
 func (o *OnePixel) Params() []Param {
 	return []Param{
-		intParam("pixels", "pixels the attack may replace", &o.Pixels),
-		intParam("pop", "differential-evolution population size", &o.Population),
-		intParam("gens", "differential-evolution generations", &o.Generations),
-		seedParam("seed", "evolution seed", &o.Seed),
+		spec.Int("pixels", "pixels the attack may replace", &o.Pixels, 1, 64),
+		spec.Int("pop", "differential-evolution population size", &o.Population, 4, 1024),
+		spec.Int("gens", "differential-evolution generations", &o.Generations, 1, maxSteps),
+		spec.Uint("seed", "evolution seed", &o.Seed),
 	}
 }
-
-// Set implements Configurable.
-func (o *OnePixel) Set(name, value string) error { return setParam(o.Params(), name, value) }
 
 // candidate is one DE individual: Pixels × (y, x, r, g, b) in [0,1] genes.
 type opCandidate []float64

@@ -2,8 +2,28 @@ package attacks
 
 import (
 	"fmt"
-	"strings"
+
+	"repro/internal/spec"
 )
+
+// Param describes one tunable attack knob; see spec.Param.
+type Param = spec.Param
+
+// Configurable is the uniform parameterization contract: an attack
+// exposes its knobs as Params descriptors bound to its own fields.
+// Every registry attack implements it, which is what lets Parse build
+// configured instances from "name(k=v,...)" specs and Name() render
+// round-trippable canonical specs.
+type Configurable interface {
+	Attack
+	// Params lists the attack's knobs in canonical spec order.
+	Params() []Param
+}
+
+// maxSteps caps every iteration-count knob. Served attacks are cut off
+// by the query budget long before it; the ceiling keeps the spec-built
+// loop bounds and per-iteration traces finite everywhere else.
+const maxSteps = 1000000
 
 // Parse builds a configured attack from a spec string:
 //
@@ -14,88 +34,27 @@ import (
 // parenthesized list assigns knobs by the keys each attack's Params()
 // exposes. Parse(a.Name()) round-trips for every registry attack: the
 // canonical Name() spec reconstructs an identically configured instance.
-func Parse(spec string) (Attack, error) {
-	name, args, err := splitSpec(spec)
+func Parse(s string) (Attack, error) {
+	name, args, err := spec.Split(s)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("attacks: %w", err)
 	}
 	atk, err := New(name)
 	if err != nil {
 		return nil, err
 	}
-	if args == "" {
-		return atk, nil
+	var ps []Param
+	if cfg, ok := atk.(Configurable); ok {
+		ps = cfg.Params()
 	}
-	cfg, ok := atk.(Configurable)
-	if !ok {
-		return nil, fmt.Errorf("attacks: %s accepts no parameters", name)
-	}
-	for _, kv := range splitTopLevel(args) {
-		key, value, found := strings.Cut(kv, "=")
-		key, value = strings.TrimSpace(key), strings.TrimSpace(value)
-		if !found || key == "" || value == "" {
-			return nil, fmt.Errorf("attacks: spec %q: want key=value, got %q", spec, strings.TrimSpace(kv))
-		}
-		if err := cfg.Set(key, value); err != nil {
-			return nil, fmt.Errorf("attacks: spec %q: %w", spec, err)
-		}
+	if err := spec.Assign(ps, args); err != nil {
+		return nil, fmt.Errorf("attacks: spec %q: %w", s, err)
 	}
 	return atk, nil
 }
 
-// splitSpec separates "name(args)" into its parts, validating the shape.
-func splitSpec(spec string) (name, args string, err error) {
-	s := strings.TrimSpace(spec)
-	if s == "" {
-		return "", "", fmt.Errorf("attacks: empty attack spec")
-	}
-	open := strings.IndexByte(s, '(')
-	if open < 0 {
-		if strings.ContainsAny(s, "),=") {
-			return "", "", fmt.Errorf("attacks: malformed attack spec %q", spec)
-		}
-		return strings.ToLower(s), "", nil
-	}
-	if !strings.HasSuffix(s, ")") {
-		return "", "", fmt.Errorf("attacks: attack spec %q: missing closing parenthesis", spec)
-	}
-	name = strings.ToLower(strings.TrimSpace(s[:open]))
-	if name == "" {
-		return "", "", fmt.Errorf("attacks: attack spec %q has no name", spec)
-	}
-	return name, strings.TrimSpace(s[open+1 : len(s)-1]), nil
-}
-
-// splitTopLevel splits a comma-separated list at depth zero, so values
-// containing parenthesized groups survive intact.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, s[start:])
-}
-
 // SplitSpecs splits a comma-separated list of attack specs at top level,
-// so "pgd(eps=0.03,steps=40),fgsm" yields two entries. Empty elements
-// are dropped; whitespace is trimmed.
-func SplitSpecs(list string) []string {
-	var out []string
-	for _, s := range splitTopLevel(list) {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// so "pgd(eps=0.03,steps=40),fgsm" yields two entries. This is the
+// flag-level list of the CLIs, not part of the spec grammar: whitespace
+// is trimmed and a stray comma's empty element is dropped.
+func SplitSpecs(list string) []string { return spec.SplitSpecs(list) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -138,11 +139,11 @@ func TestParsedAttackGenerates(t *testing.T) {
 // TestSetUnknownParam pins the Configurable error surface.
 func TestSetUnknownParam(t *testing.T) {
 	atk := NewPGD()
-	if err := atk.Set("bogus", "1"); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("Set(bogus) = %v", err)
+	if err := spec.Assign(atk.Params(), "bogus=1"); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("Assign(bogus=1) = %v", err)
 	}
-	if err := atk.Set("eps", "0.25"); err != nil || atk.Epsilon != 0.25 {
-		t.Fatalf("Set(eps) = %v, eps = %v", err, atk.Epsilon)
+	if err := spec.Assign(atk.Params(), "eps=0.25"); err != nil || atk.Epsilon != 0.25 {
+		t.Fatalf("Assign(eps=0.25) = %v, eps = %v", err, atk.Epsilon)
 	}
 }
 

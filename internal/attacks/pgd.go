@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -27,21 +28,18 @@ func NewPGD() *PGD {
 }
 
 // Name implements Attack.
-func (p *PGD) Name() string { return specName("pgd", p.Params()) }
+func (p *PGD) Name() string { return spec.Format("pgd", p.Params()) }
 
 // Params implements Configurable.
 func (p *PGD) Params() []Param {
 	return []Param{
-		floatParam("eps", "total L∞ budget", &p.Epsilon),
-		floatParam("alpha", "per-step size", &p.Alpha),
-		intParam("steps", "iterations per restart", &p.Steps),
-		intParam("restarts", "random restarts", &p.Restarts),
-		seedParam("seed", "random-start seed", &p.Seed),
+		spec.Float("eps", "total L∞ budget", &p.Epsilon, spec.MinPositive, 1),
+		spec.Float("alpha", "per-step size", &p.Alpha, spec.MinPositive, 1),
+		spec.Int("steps", "iterations per restart", &p.Steps, 1, maxSteps),
+		spec.Int("restarts", "random restarts", &p.Restarts, 1, 1000),
+		spec.Uint("seed", "random-start seed", &p.Seed),
 	}
 }
-
-// Set implements Configurable.
-func (p *PGD) Set(name, value string) error { return setParam(p.Params(), name, value) }
 
 // Generate implements Attack. Result.Iterations reports the winning
 // restart's step count; budget iteration limits apply to the run total

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -35,22 +36,19 @@ func NewSPSA() *SPSA {
 }
 
 // Name implements Attack.
-func (s *SPSA) Name() string { return specName("spsa", s.Params()) }
+func (s *SPSA) Name() string { return spec.Format("spsa", s.Params()) }
 
 // Params implements Configurable.
 func (s *SPSA) Params() []Param {
 	return []Param{
-		floatParam("eps", "total L∞ budget", &s.Epsilon),
-		floatParam("alpha", "per-step size", &s.Alpha),
-		intParam("steps", "optimization steps", &s.Steps),
-		intParam("samples", "direction pairs per gradient estimate", &s.Samples),
-		floatParam("delta", "finite-difference probe radius", &s.Delta),
-		seedParam("seed", "random-direction seed", &s.Seed),
+		spec.Float("eps", "total L∞ budget", &s.Epsilon, spec.MinPositive, 1),
+		spec.Float("alpha", "per-step size", &s.Alpha, spec.MinPositive, 1),
+		spec.Int("steps", "optimization steps", &s.Steps, 1, maxSteps),
+		spec.Int("samples", "direction pairs per gradient estimate", &s.Samples, 1, 4096),
+		spec.Float("delta", "finite-difference probe radius", &s.Delta, spec.MinPositive, 1),
+		spec.Uint("seed", "random-direction seed", &s.Seed),
 	}
 }
-
-// Set implements Configurable.
-func (s *SPSA) Set(name, value string) error { return setParam(s.Params(), name, value) }
 
 // Generate implements Attack. Budget granularity is one optimization
 // step (2×Samples forward queries per check).

@@ -46,7 +46,7 @@ func NewUniversal() *Universal {
 }
 
 // Name identifies the procedure.
-func (u *Universal) Name() string { return fmt.Sprintf("universal(eps=%s)", formatFloat(u.Epsilon)) }
+func (u *Universal) Name() string { return fmt.Sprintf("universal(eps=%g)", u.Epsilon) }
 
 // Craft builds a universal perturbation over the crafting images. goal
 // semantics: targeted goals push every image toward goal.Target;

@@ -1,169 +1,71 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/filters"
+	"repro/internal/spec"
 )
+
+// Params lists the detector's knobs in canonical spec order: squeezers
+// (a parenthesized list of filter specs, each parsed by filters.Parse),
+// metric and thr.
+func (d *Detector) Params() []spec.Param {
+	return []spec.Param{
+		spec.List("squeezers", "filter specs whose views are compared to the raw prediction; score = worst discrepancy",
+			&d.Squeezers, filters.Filter.Name, parseSqueezer),
+		spec.Enum("metric", "l1 (probability-vector distance) or top1 (fraction of squeezers changing the class)",
+			&d.Metric, MetricL1, MetricTop1),
+		// Scores lie in [0, 2] and flagging is strict, so -1 flags every
+		// input and 3 none; the slack also keeps a calibrated threshold
+		// that rounding put a hair past 2 re-parseable.
+		spec.Float("thr", "flag cutoff: score > thr marks the input adversarial", &d.Threshold, -1, 3),
+	}
+}
+
+func parseSqueezer(s string) (filters.Filter, error) {
+	f, err := filters.Parse(s)
+	if err == nil && f == nil {
+		err = errors.New("squeezer is a no-op")
+	}
+	return f, err
+}
 
 // Name returns the canonical round-trippable spec of the detector, e.g.
 // "detect(squeezers=(bitdepth(bits=4),median(r=1)),thr=0.6)". The
 // metric key is omitted for the default l1 metric; Parse(Name())
 // reconstructs an identically configured detector.
 func (d *Detector) Name() string {
-	var b strings.Builder
-	b.WriteString("detect(squeezers=(")
-	for i, sq := range d.Squeezers {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(sq.Name())
+	ps := d.Params()
+	if d.Metric == MetricL1 {
+		ps = append(ps[:1], ps[2:]...)
 	}
-	b.WriteString(")")
-	if d.Metric != MetricL1 {
-		b.WriteString(",metric=")
-		b.WriteString(d.Metric.String())
-	}
-	b.WriteString(",thr=")
-	b.WriteString(strconv.FormatFloat(d.Threshold, 'g', -1, 64))
-	b.WriteString(")")
-	return b.String()
+	return spec.Format("detect", ps)
 }
 
-// ParseMetric parses a metric token ("l1" or "top1").
-func ParseMetric(s string) (Metric, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "l1":
-		return MetricL1, nil
-	case "top1":
-		return MetricTop1, nil
-	default:
-		return 0, fmt.Errorf("detect: unknown metric %q (want l1 or top1)", s)
-	}
-}
-
-// Parse builds a Detector from its spec, mirroring the filters/attacks
+// Parse builds a Detector from its spec, in the shared attacks/filters
 // grammar: "detect(squeezers=(bitdepth(bits=4),median(r=1)),thr=0.6)".
-// Accepted keys are squeezers (a parenthesized list of filter specs,
-// each parsed by filters.Parse), metric (l1 or top1) and thr (a finite
-// float). Bare "detect" or "detect()" yields Default(); empty and
-// "none" yield (nil, nil) — detection disabled. Errors follow the
-// filters.Parse convention so flag and request boundaries can surface
-// them as usage errors rather than panics.
-func Parse(spec string) (*Detector, error) {
-	s := strings.TrimSpace(spec)
+// Bare "detect" or "detect()" yields Default(); empty and "none" yield
+// (nil, nil) — detection disabled. Errors follow the filters.Parse
+// convention so flag and request boundaries can surface them as usage
+// errors rather than panics.
+func Parse(s string) (*Detector, error) {
+	s = strings.TrimSpace(s)
 	if s == "" || strings.EqualFold(s, "none") {
 		return nil, nil
 	}
-	name, args, err := splitSpec(s)
+	name, args, err := spec.Split(s)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("detect: %w", err)
 	}
-	if !strings.EqualFold(name, "detect") {
-		return nil, fmt.Errorf("detect: spec %q: unknown detector %q (want detect(...))", spec, name)
+	if name != "detect" {
+		return nil, fmt.Errorf("detect: spec %q: unknown detector %q (want detect(...))", s, name)
 	}
 	d := Default()
-	if args == "" {
-		return d, nil
-	}
-	for _, item := range splitTopLevel(args) {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return nil, fmt.Errorf("detect: spec %q: argument %q is not key=value", spec, item)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		switch key {
-		case "squeezers":
-			sqs, err := parseSqueezers(spec, val)
-			if err != nil {
-				return nil, err
-			}
-			d.Squeezers = sqs
-		case "metric":
-			m, err := ParseMetric(val)
-			if err != nil {
-				return nil, fmt.Errorf("detect: spec %q: %v", spec, err)
-			}
-			d.Metric = m
-		case "thr":
-			thr, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("detect: spec %q: thr %q is not a number", spec, val)
-			}
-			d.Threshold = thr
-		default:
-			return nil, fmt.Errorf("detect: spec %q: unknown key %q (want squeezers, metric or thr)", spec, key)
-		}
-	}
-	if len(d.Squeezers) == 0 {
-		return nil, fmt.Errorf("detect: spec %q: squeezers list is empty", spec)
+	if err := spec.Assign(d.Params(), args); err != nil {
+		return nil, fmt.Errorf("detect: spec %q: %w", s, err)
 	}
 	return d, nil
-}
-
-// parseSqueezers parses the parenthesized squeezer list
-// "(bitdepth(bits=4),median(r=1))" into configured filters.
-func parseSqueezers(spec, val string) ([]filters.Filter, error) {
-	if len(val) < 2 || val[0] != '(' || val[len(val)-1] != ')' {
-		return nil, fmt.Errorf("detect: spec %q: squeezers wants a parenthesized filter list, got %q", spec, val)
-	}
-	inner := val[1 : len(val)-1]
-	var sqs []filters.Filter
-	for _, fs := range splitTopLevel(inner) {
-		fs = strings.TrimSpace(fs)
-		if fs == "" {
-			continue
-		}
-		f, err := filters.Parse(fs)
-		if err != nil {
-			return nil, fmt.Errorf("detect: spec %q: squeezer %q: %v", spec, fs, err)
-		}
-		if f == nil {
-			return nil, fmt.Errorf("detect: spec %q: squeezer %q is a no-op", spec, fs)
-		}
-		sqs = append(sqs, f)
-	}
-	return sqs, nil
-}
-
-// splitSpec splits "name(args)" into name and args; a bare name has
-// empty args.
-func splitSpec(s string) (name, args string, err error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 {
-		return s, "", nil
-	}
-	if !strings.HasSuffix(s, ")") {
-		return "", "", fmt.Errorf("detect: spec %q: missing closing parenthesis", s)
-	}
-	return s[:open], s[open+1 : len(s)-1], nil
-}
-
-// splitTopLevel splits on commas at parenthesis depth zero, so nested
-// filter specs like chain(median(r=1),lap(np=8)) stay intact.
-func splitTopLevel(s string) []string {
-	var parts []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
 }

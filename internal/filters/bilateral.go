@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -35,19 +36,16 @@ func NewBilateral(radius int, sigmaSpace, sigmaColor float64) *Bilateral {
 }
 
 // Name implements Filter: the canonical spec, e.g. "bilateral(r=2,ss=2,sc=0.1)".
-func (b *Bilateral) Name() string { return specName("bilateral", b.Params()) }
+func (b *Bilateral) Name() string { return spec.Format("bilateral", b.Params()) }
 
 // Params implements Configurable.
 func (b *Bilateral) Params() []Param {
 	return []Param{
-		intParam("r", "spatial window half-width in pixels", &b.Radius, intAtLeast(1), nil),
-		floatParam("ss", "spatial Gaussian sigma in pixels", &b.SigmaSpace, floatPositive(), nil),
-		floatParam("sc", "photometric (color) Gaussian sigma in intensity units", &b.SigmaColor, floatPositive(), nil),
+		spec.Int("r", "spatial window half-width in pixels", &b.Radius, 1, maxRadius),
+		spec.Float("ss", "spatial Gaussian sigma in pixels", &b.SigmaSpace, spec.MinPositive, 100),
+		spec.Float("sc", "photometric (color) Gaussian sigma in intensity units", &b.SigmaColor, spec.MinPositive, 100),
 	}
 }
-
-// Set implements Configurable.
-func (b *Bilateral) Set(name, value string) error { return setParam(b.Params(), name, value) }
 
 // ApplyBatch implements Filter with one task per image over the
 // internal/parallel pool.

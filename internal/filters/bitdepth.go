@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -28,18 +29,14 @@ func NewBitDepth(bits int) *BitDepth {
 }
 
 // Name implements Filter: the canonical spec, e.g. "bitdepth(bits=5)".
-func (b *BitDepth) Name() string { return specName("bitdepth", b.Params()) }
+func (b *BitDepth) Name() string { return spec.Format("bitdepth", b.Params()) }
 
 // Params implements Configurable.
 func (b *BitDepth) Params() []Param {
 	return []Param{
-		intParam("bits", "retained bit depth in [1, 16]; smaller squeezes harder",
-			&b.Bits, intInRange(1, 16), nil),
+		spec.Int("bits", "retained bit depth; smaller squeezes harder", &b.Bits, 1, 16),
 	}
 }
-
-// Set implements Configurable.
-func (b *BitDepth) Set(name, value string) error { return setParam(b.Params(), name, value) }
 
 // Apply implements Filter: round to the nearest of 2^Bits levels.
 func (b *BitDepth) Apply(img *tensor.Tensor) *tensor.Tensor {

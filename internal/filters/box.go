@@ -3,6 +3,7 @@ package filters
 import (
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -38,7 +39,7 @@ func (f *Box) rebuild() {
 }
 
 // Name implements Filter: the canonical spec, e.g. "box(r=2)".
-func (f *Box) Name() string { return specName("box", f.Params()) }
+func (f *Box) Name() string { return spec.Format("box", f.Params()) }
 
 // Taps returns the stencil tap count ((2r+1)²).
 func (f *Box) Taps() int { return f.st.Taps() }
@@ -55,9 +56,6 @@ func (f *Box) VJP(x, upstream *tensor.Tensor) *tensor.Tensor { return f.st.VJP(x
 // Params implements Configurable.
 func (f *Box) Params() []Param {
 	return []Param{
-		intParam("r", "square window half-width in pixels", &f.r, intAtLeast(1), f.rebuild),
+		spec.Int("r", "square window half-width in pixels", &f.r, 1, maxRadius).Then(f.rebuild),
 	}
 }
-
-// Set implements Configurable.
-func (f *Box) Set(name, value string) error { return setParam(f.Params(), name, value) }

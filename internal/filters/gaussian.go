@@ -3,6 +3,7 @@ package filters
 import (
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -32,7 +33,7 @@ func (f *Gaussian) rebuild() {
 }
 
 // Name implements Filter: the canonical spec, e.g. "gaussian(sigma=1.5)".
-func (f *Gaussian) Name() string { return specName("gaussian", f.Params()) }
+func (f *Gaussian) Name() string { return spec.Format("gaussian", f.Params()) }
 
 // Taps returns the stencil tap count.
 func (f *Gaussian) Taps() int { return f.st.Taps() }
@@ -49,10 +50,7 @@ func (f *Gaussian) VJP(x, upstream *tensor.Tensor) *tensor.Tensor { return f.st.
 // Params implements Configurable.
 func (f *Gaussian) Params() []Param {
 	return []Param{
-		floatParam("sigma", "Gaussian standard deviation in pixels (taps truncated at ±3σ)",
-			&f.sigma, floatPositive(), f.rebuild),
+		spec.Float("sigma", "Gaussian standard deviation in pixels (taps truncated at ±3σ)",
+			&f.sigma, spec.MinPositive, 10).Then(f.rebuild),
 	}
 }
-
-// Set implements Configurable.
-func (f *Gaussian) Set(name, value string) error { return setParam(f.Params(), name, value) }

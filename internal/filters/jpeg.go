@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -34,18 +35,14 @@ func NewJPEG(quality int) *JPEG {
 }
 
 // Name implements Filter: the canonical spec, e.g. "jpeg(q=50)".
-func (j *JPEG) Name() string { return specName("jpeg", j.Params()) }
+func (j *JPEG) Name() string { return spec.Format("jpeg", j.Params()) }
 
 // Params implements Configurable.
 func (j *JPEG) Params() []Param {
 	return []Param{
-		intParam("q", "JPEG quality factor in [1, 100]; lower quantizes harder",
-			&j.Quality, intInRange(1, 100), nil),
+		spec.Int("q", "JPEG quality factor; lower quantizes harder", &j.Quality, 1, 100),
 	}
 }
-
-// Set implements Configurable.
-func (j *JPEG) Set(name, value string) error { return setParam(j.Params(), name, value) }
 
 // jpegLuminanceTable is the standard IJG luminance quantization table.
 var jpegLuminanceTable = [64]float64{

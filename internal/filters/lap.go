@@ -3,6 +3,7 @@ package filters
 import (
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -48,7 +49,7 @@ func (f *LAP) rebuild() {
 }
 
 // Name implements Filter: the canonical spec, e.g. "lap(np=32)".
-func (f *LAP) Name() string { return specName("lap", f.Params()) }
+func (f *LAP) Name() string { return spec.Format("lap", f.Params()) }
 
 // Taps returns the stencil tap count (np + 1 for the center).
 func (f *LAP) Taps() int { return f.st.Taps() }
@@ -65,13 +66,10 @@ func (f *LAP) VJP(x, upstream *tensor.Tensor) *tensor.Tensor { return f.st.VJP(x
 // Params implements Configurable.
 func (f *LAP) Params() []Param {
 	return []Param{
-		intParam("np", "neighbours averaged with the center (paper sweep: 4, 8, 16, 32, 64)",
-			&f.np, intAtLeast(1), f.rebuild),
+		spec.Int("np", "neighbours averaged with the center (paper sweep: 4, 8, 16, 32, 64)",
+			&f.np, 1, 1024).Then(f.rebuild),
 	}
 }
-
-// Set implements Configurable.
-func (f *LAP) Set(name, value string) error { return setParam(f.Params(), name, value) }
 
 // NewPaperLAPs returns the five LAP configurations of the paper's sweep.
 func NewPaperLAPs() []Filter {

@@ -3,6 +3,7 @@ package filters
 import (
 	"fmt"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -38,7 +39,7 @@ func (f *LAR) rebuild() {
 }
 
 // Name implements Filter: the canonical spec, e.g. "lar(r=3)".
-func (f *LAR) Name() string { return specName("lar", f.Params()) }
+func (f *LAR) Name() string { return spec.Format("lar", f.Params()) }
 
 // Taps returns the stencil tap count (the disk size).
 func (f *LAR) Taps() int { return f.st.Taps() }
@@ -55,13 +56,10 @@ func (f *LAR) VJP(x, upstream *tensor.Tensor) *tensor.Tensor { return f.st.VJP(x
 // Params implements Configurable.
 func (f *LAR) Params() []Param {
 	return []Param{
-		intParam("r", "Euclidean disk radius in pixels (paper sweep: 1..5)",
-			&f.r, intAtLeast(1), f.rebuild),
+		spec.Int("r", "Euclidean disk radius in pixels (paper sweep: 1..5)",
+			&f.r, 1, maxRadius).Then(f.rebuild),
 	}
 }
-
-// Set implements Configurable.
-func (f *LAR) Set(name, value string) error { return setParam(f.Params(), name, value) }
 
 // NewPaperLARs returns the five LAR configurations of the paper's sweep.
 func NewPaperLARs() []Filter {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -26,7 +27,7 @@ func NewMedian(radius int) *Median {
 }
 
 // Name implements Filter: the canonical spec, e.g. "median(r=1)".
-func (m *Median) Name() string { return specName("median", m.Params()) }
+func (m *Median) Name() string { return spec.Format("median", m.Params()) }
 
 // Apply implements Filter with replicate border handling.
 func (m *Median) Apply(img *tensor.Tensor) *tensor.Tensor {
@@ -73,10 +74,6 @@ func (m *Median) VJP(_, upstream *tensor.Tensor) *tensor.Tensor {
 // Params implements Configurable.
 func (m *Median) Params() []Param {
 	return []Param{
-		intParam("r", "window half-width in pixels; the window is (2r+1)²",
-			&m.Radius, intAtLeast(1), nil),
+		spec.Int("r", "window half-width in pixels; the window is (2r+1)²", &m.Radius, 1, maxRadius),
 	}
 }
-
-// Set implements Configurable.
-func (m *Median) Set(name, value string) error { return setParam(m.Params(), name, value) }

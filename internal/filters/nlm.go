@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -43,21 +44,17 @@ func NewNLM(h float64, patch, window int) *NLM {
 }
 
 // Name implements Filter: the canonical spec, e.g. "nlm(h=0.1,patch=1,window=3)".
-func (f *NLM) Name() string { return specName("nlm", f.Params()) }
+func (f *NLM) Name() string { return spec.Format("nlm", f.Params()) }
 
 // Params implements Configurable.
 func (f *NLM) Params() []Param {
 	return []Param{
-		floatParam("h", "filter strength; patch distances are scored against h²",
-			&f.H, floatPositive(), nil),
-		intParam("patch", "patch half-width for similarity (0 = single pixel)",
-			&f.Patch, intAtLeast(0), nil),
-		intParam("window", "search-window half-width", &f.Window, intAtLeast(1), nil),
+		spec.Float("h", "filter strength; patch distances are scored against h²",
+			&f.H, spec.MinPositive, 100),
+		spec.Int("patch", "patch half-width for similarity (0 = single pixel)", &f.Patch, 0, 3),
+		spec.Int("window", "search-window half-width", &f.Window, 1, 7),
 	}
 }
-
-// Set implements Configurable.
-func (f *NLM) Set(name, value string) error { return setParam(f.Params(), name, value) }
 
 // msd returns the mean squared difference between the patches centered
 // on (py,px) and (qy,qx) of one h×w plane, replicate-clamped.

@@ -4,11 +4,36 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
+// Param describes one tunable filter knob; see spec.Param.
+type Param = spec.Param
+
+// Configurable is the uniform parameterization contract: a filter
+// exposes its knobs as Params descriptors bound to its own fields.
+// Every registry filter with parameters implements it, which is what
+// lets Parse build configured instances from "name(k=v,...)" specs and
+// Name() render round-trippable canonical specs.
+type Configurable interface {
+	Filter
+	// Params lists the filter's knobs in canonical spec order.
+	Params() []Param
+}
+
+// maxRadius caps every window half-width (median, box, lar, bilateral):
+// at 16 the window spans 33 pixels — the whole 32-pixel side of the
+// largest served input — and the costliest of them, the median's
+// per-pixel sort, already takes ~150 ms there. The other knob ceilings
+// (next to each Params) are sized the same way: one Apply on a 3×32×32
+// image stays in the low hundreds of milliseconds.
+const maxRadius = 16
+
 // Parse converts a user-supplied filter spec — the -filter CLI flags, a
-// serving-request field — into a Filter. The grammar mirrors the attack
-// spec syntax:
+// serving-request field — into a Filter. The grammar is internal/spec's,
+// shared with attacks and detectors; the filter registry adds none,
+// chain and the legacy forms:
 //
 //	""  |  "none"                      → (nil, nil); pipeline.New treats
 //	                                     nil as Identity
@@ -28,41 +53,31 @@ import (
 // a negative Gaussian sigma) all surface as usage-style errors here, at
 // the flag/request boundary — never as a constructor panic mid-run and
 // never silently clamped.
-func Parse(spec string) (Filter, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || strings.EqualFold(spec, "none") {
+func Parse(s string) (Filter, error) {
+	s = strings.TrimSpace(s)
+	if s == "" || strings.EqualFold(s, "none") {
 		return nil, nil
 	}
-	if i := strings.IndexByte(spec, ':'); i >= 0 && !strings.ContainsAny(spec, "()=") {
-		return parseLegacy(spec, spec[:i], spec[i+1:])
-	}
-	name, args, err := splitSpec(spec)
+	name, args, err := spec.Split(s)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("filters: %w", err)
+	}
+	if kind, param, ok := strings.Cut(s, ":"); ok && !strings.Contains(s, "(") {
+		return parseLegacy(s, kind, param)
 	}
 	if name == "chain" {
-		return parseChain(spec, args)
+		return parseChain(s, args)
 	}
 	f, err := New(name)
 	if err != nil {
 		return nil, err
 	}
-	if args == "" {
-		return f, nil
+	var ps []Param
+	if cfg, ok := f.(Configurable); ok {
+		ps = cfg.Params()
 	}
-	cfg, ok := f.(Configurable)
-	if !ok {
-		return nil, fmt.Errorf("filters: %s accepts no parameters", name)
-	}
-	for _, kv := range splitTopLevel(args) {
-		key, value, found := strings.Cut(kv, "=")
-		key, value = strings.TrimSpace(key), strings.TrimSpace(value)
-		if !found || key == "" || value == "" {
-			return nil, fmt.Errorf("filters: spec %q: want key=value, got %q", spec, strings.TrimSpace(kv))
-		}
-		if err := cfg.Set(key, value); err != nil {
-			return nil, fmt.Errorf("filters: spec %q: %w", spec, err)
-		}
+	if err := spec.Assign(ps, args); err != nil {
+		return nil, fmt.Errorf("filters: spec %q: %w", s, err)
 	}
 	// Cross-parameter constraints (randjpeg's qmin ≤ qmax) can only be
 	// checked once every knob is assigned — per-param Set validation
@@ -70,7 +85,7 @@ func Parse(spec string) (Filter, error) {
 	// at the same usage-error boundary.
 	if v, ok := f.(Validator); ok {
 		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("filters: spec %q: %w", spec, err)
+			return nil, fmt.Errorf("filters: spec %q: %w", s, err)
 		}
 	}
 	return f, nil
@@ -86,109 +101,55 @@ type Validator interface {
 }
 
 // parseChain builds a Chain from the comma-separated stage list of a
-// "chain(...)" spec, parsing each stage recursively.
-func parseChain(spec, args string) (Filter, error) {
-	if strings.TrimSpace(args) == "" {
-		return nil, fmt.Errorf("filters: spec %q: chain needs at least one stage", spec)
+// "chain(...)" spec, parsing each stage recursively (spec.Split bounded
+// the nesting depth on the way in).
+func parseChain(s, args string) (Filter, error) {
+	stages, err := spec.SplitList(args)
+	if err != nil {
+		return nil, fmt.Errorf("filters: spec %q: %w", s, err)
 	}
-	var chain Chain
-	for i, stage := range splitTopLevel(args) {
+	if len(stages) == 0 {
+		return nil, fmt.Errorf("filters: spec %q: chain needs at least one stage", s)
+	}
+	chain := make(Chain, 0, len(stages))
+	for i, stage := range stages {
 		f, err := Parse(stage)
 		if err != nil {
-			return nil, fmt.Errorf("filters: spec %q: stage %d: %w", spec, i+1, err)
+			return nil, fmt.Errorf("filters: spec %q: stage %d: %w", s, i+1, err)
 		}
 		if f == nil {
-			return nil, fmt.Errorf("filters: spec %q: stage %d is empty (drop it instead of chaining \"none\")", spec, i+1)
+			return nil, fmt.Errorf("filters: spec %q: stage %d is empty (drop it instead of chaining \"none\")", s, i+1)
 		}
 		chain = append(chain, f)
 	}
 	return chain, nil
 }
 
-// parseLegacy maps the pre-v2 KIND:PARAM syntax onto the registry.
-func parseLegacy(spec, kind, param string) (Filter, error) {
-	v, err := strconv.Atoi(strings.TrimSpace(param))
+// legacy maps the pre-v2 KIND:PARAM kinds onto the canonical spec each
+// one abbreviates, up to the integer value.
+var legacy = map[string]string{
+	"LAP": "lap(np=", "LAR": "lar(r=", "MEDIAN": "median(r=", "GAUSS": "gaussian(sigma=", "BOX": "box(r=",
+}
+
+// parseLegacy rewrites KIND:PARAM into its canonical spec and parses that.
+func parseLegacy(s, kind, param string) (Filter, error) {
+	param = strings.TrimSpace(param)
+	if _, err := strconv.Atoi(param); err != nil {
+		return nil, fmt.Errorf("filter spec %q: parameter %q is not an integer", s, param)
+	}
+	head, ok := legacy[strings.ToUpper(strings.TrimSpace(kind))]
+	if !ok {
+		return nil, fmt.Errorf("filter spec %q: unknown kind %q (LAP|LAR|MEDIAN|GAUSS|BOX|none)", s, kind)
+	}
+	f, err := Parse(head + param + ")")
 	if err != nil {
-		return nil, fmt.Errorf("filter spec %q: parameter %q is not an integer", spec, param)
-	}
-	var name, key string
-	switch strings.ToUpper(strings.TrimSpace(kind)) {
-	case "LAP":
-		name, key = "lap", "np"
-	case "LAR":
-		name, key = "lar", "r"
-	case "MEDIAN":
-		name, key = "median", "r"
-	case "GAUSS":
-		name, key = "gaussian", "sigma"
-	case "BOX":
-		name, key = "box", "r"
-	default:
-		return nil, fmt.Errorf("filter spec %q: unknown kind %q (LAP|LAR|MEDIAN|GAUSS|BOX|none)", spec, kind)
-	}
-	f, err := New(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.(Configurable).Set(key, strconv.Itoa(v)); err != nil {
-		return nil, fmt.Errorf("filter spec %q: %w", spec, err)
+		return nil, fmt.Errorf("filter spec %q: %w", s, err)
 	}
 	return f, nil
 }
 
-// splitSpec separates "name(args)" into its parts, validating the shape.
-func splitSpec(spec string) (name, args string, err error) {
-	s := strings.TrimSpace(spec)
-	if s == "" {
-		return "", "", fmt.Errorf("filters: empty filter spec")
-	}
-	open := strings.IndexByte(s, '(')
-	if open < 0 {
-		if strings.ContainsAny(s, "),=:") {
-			return "", "", fmt.Errorf("filters: malformed filter spec %q", spec)
-		}
-		return strings.ToLower(s), "", nil
-	}
-	if !strings.HasSuffix(s, ")") {
-		return "", "", fmt.Errorf("filters: filter spec %q: missing closing parenthesis", spec)
-	}
-	name = strings.ToLower(strings.TrimSpace(s[:open]))
-	if name == "" {
-		return "", "", fmt.Errorf("filters: filter spec %q has no name", spec)
-	}
-	return name, strings.TrimSpace(s[open+1 : len(s)-1]), nil
-}
-
-// splitTopLevel splits a comma-separated list at paren depth zero, so
-// nested specs like chain stages and parameter groups survive intact.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, s[start:])
-}
-
 // SplitSpecs splits a comma-separated list of filter specs at top level,
 // so "chain(median(r=1),histeq(bins=64)),lap(np=8)" yields two entries.
-// Empty elements are dropped; whitespace is trimmed.
-func SplitSpecs(list string) []string {
-	var out []string
-	for _, s := range splitTopLevel(list) {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// This is the flag-level list of the CLIs, not part of the spec grammar:
+// whitespace is trimmed and a stray comma's empty element is dropped.
+func SplitSpecs(list string) []string { return spec.SplitSpecs(list) }

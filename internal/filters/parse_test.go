@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -82,22 +83,29 @@ func TestParseMalformedSpecs(t *testing.T) {
 		"lap(r=3)":               "unknown param",
 		"gaussian(s=1)":          "unknown param",
 		"chain(median(sigma=1))": "unknown param",
-		// Out-of-range values: rejected, not clamped.
-		"median(r=0)":        "at least 1",
-		"median(r=-2)":       "at least 1",
-		"lap(np=0)":          "at least 1",
-		"lar(r=-1)":          "at least 1",
-		"gaussian(sigma=-2)": "positive",
-		"gaussian(sigma=0)":  "positive",
-		"bilateral(ss=-1)":   "positive",
-		"histeq(bins=1)":     "at least 2",
-		"jpeg(q=0)":          "in [1, 100]",
-		"jpeg(q=101)":        "in [1, 100]",
-		"bitdepth(bits=0)":   "in [1, 16]",
-		"tv(lambda=-0.1)":    "positive",
-		"tv(iters=0)":        "at least 1",
-		"nlm(h=0)":           "positive",
-		"nlm(window=0)":      "at least 1",
+		// Out-of-range values: rejected, not clamped. Every numeric knob
+		// has a finite ceiling (median(r=40000) used to parse and then
+		// ask Apply for a 51 GB window) and no knob takes NaN or ±Inf.
+		"median(r=40000)":     "in [1, 16]",
+		"lap(np=1000000)":     "in [1, 1024]",
+		"gaussian(sigma=Inf)": "in [1e-06, 10]",
+		"gaussian(sigma=NaN)": "in [1e-06, 10]",
+		"normalize(mean=NaN)": "in [-10, 10]",
+		"median(r=0)":         "in [1, 16]",
+		"median(r=-2)":        "in [1, 16]",
+		"lap(np=0)":           "in [1, 1024]",
+		"lar(r=-1)":           "in [1, 16]",
+		"gaussian(sigma=-2)":  "in [1e-06, 10]",
+		"gaussian(sigma=0)":   "in [1e-06, 10]",
+		"bilateral(ss=-1)":    "in [1e-06, 100]",
+		"histeq(bins=1)":      "in [2, 65536]",
+		"jpeg(q=0)":           "in [1, 100]",
+		"jpeg(q=101)":         "in [1, 100]",
+		"bitdepth(bits=0)":    "in [1, 16]",
+		"tv(lambda=-0.1)":     "in [1e-06, 100]",
+		"tv(iters=0)":         "in [1, 1000]",
+		"nlm(h=0)":            "in [1e-06, 100]",
+		"nlm(window=0)":       "in [1, 7]",
 		// Type errors.
 		"median(r=two)":      "want an integer",
 		"gaussian(sigma=xx)": "want a number",
@@ -181,9 +189,8 @@ func TestSetRejectsWithoutMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := f.(Configurable)
-	if err := cfg.Set("np", "0"); err == nil {
-		t.Fatal("Set(np, 0) accepted")
+	if err := spec.Assign(f.(Configurable).Params(), "np=0"); err == nil {
+		t.Fatal("Assign(np=0) accepted")
 	}
 	if f.Name() != "lap(np=8)" {
 		t.Fatalf("rejected Set still mutated the filter: %q", f.Name())
@@ -205,5 +212,27 @@ func TestSplitSpecs(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("SplitSpecs[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestLargestChainRoundTrips pins the arithmetic behind the grammar's
+// limits: one spec string names at most 32 filters, and 32 of the
+// longest canonical filter spec still fit the length limit — so a chain
+// that parses, however tersely it was written, has a name that parses.
+func TestLargestChainRoundTrips(t *testing.T) {
+	longest := "randresize(lo=0.0012345678901234567,hi=0.98765432109876543,seed=18446744073709551615)"
+	for _, stage := range []string{"randresize", longest} {
+		s := "chain(" + strings.Repeat(stage+",", 30) + stage + ")"
+		f, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(31 × %s): %v", stage, err)
+		}
+		again, err := Parse(f.Name())
+		if err != nil || again.Name() != f.Name() {
+			t.Fatalf("canonical name of 31 × %s (%d bytes) does not round-trip: %v", stage, len(f.Name()), err)
+		}
+	}
+	if _, err := Parse("chain(" + strings.Repeat("tv,", 32) + "tv)"); err == nil || !strings.Contains(err.Error(), "limit 32") {
+		t.Fatalf("a 33-stage chain = %v, want the spec-count limit", err)
 	}
 }

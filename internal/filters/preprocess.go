@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -88,18 +89,15 @@ func NewNormalize(mean, std float64) *Normalize {
 }
 
 // Name implements Filter: the canonical spec, e.g. "normalize(mean=0.5,std=0.25)".
-func (n *Normalize) Name() string { return specName("normalize", n.Params()) }
+func (n *Normalize) Name() string { return spec.Format("normalize", n.Params()) }
 
 // Params implements Configurable.
 func (n *Normalize) Params() []Param {
 	return []Param{
-		floatParam("mean", "target per-image mean", &n.TargetMean, nil, nil),
-		floatParam("std", "target per-image standard deviation", &n.TargetStd, floatPositive(), nil),
+		spec.Float("mean", "target per-image mean", &n.TargetMean, -10, 10),
+		spec.Float("std", "target per-image standard deviation", &n.TargetStd, spec.MinPositive, 10),
 	}
 }
-
-// Set implements Configurable.
-func (n *Normalize) Set(name, value string) error { return setParam(n.Params(), name, value) }
 
 // ApplyBatch implements Filter via the serial fallback.
 func (n *Normalize) ApplyBatch(imgs []*tensor.Tensor) []*tensor.Tensor { return SerialBatch(n, imgs) }
@@ -156,18 +154,15 @@ func NewHistEq(bins int) *HistEq {
 }
 
 // Name implements Filter: the canonical spec, e.g. "histeq(bins=256)".
-func (h *HistEq) Name() string { return specName("histeq", h.Params()) }
+func (h *HistEq) Name() string { return spec.Format("histeq", h.Params()) }
 
 // Params implements Configurable.
 func (h *HistEq) Params() []Param {
 	return []Param{
-		intParam("bins", "histogram resolution over [0, 1] (256 matches 8-bit pipelines)",
-			&h.Bins, intAtLeast(2), nil),
+		spec.Int("bins", "histogram resolution over [0, 1] (256 matches 8-bit pipelines)",
+			&h.Bins, 2, 1<<16),
 	}
 }
-
-// Set implements Configurable.
-func (h *HistEq) Set(name, value string) error { return setParam(h.Params(), name, value) }
 
 // ApplyBatch implements Filter via the serial fallback.
 func (h *HistEq) ApplyBatch(imgs []*tensor.Tensor) []*tensor.Tensor { return SerialBatch(h, imgs) }

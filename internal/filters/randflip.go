@@ -2,6 +2,7 @@ package filters
 
 import (
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -30,19 +31,15 @@ func NewRandFlip(p float64, seed uint64) *RandFlip {
 }
 
 // Name implements Filter: the canonical spec, e.g. "randflip(p=0.5,seed=1)".
-func (f *RandFlip) Name() string { return specName("randflip", f.Params()) }
+func (f *RandFlip) Name() string { return spec.Format("randflip", f.Params()) }
 
 // Params implements Configurable.
 func (f *RandFlip) Params() []Param {
 	return []Param{
-		floatParam("p", "horizontal flip probability in [0, 1]",
-			&f.P, floatInRange(0, 1), nil),
-		uintParam("seed", "base seed of the per-image decision stream", &f.SeedVal, nil),
+		spec.Float("p", "horizontal flip probability", &f.P, 0, 1),
+		spec.Uint("seed", "base seed of the per-image decision stream", &f.SeedVal),
 	}
 }
-
-// Set implements Configurable.
-func (f *RandFlip) Set(name, value string) error { return setParam(f.Params(), name, value) }
 
 // Seed implements Stochastic.
 func (f *RandFlip) Seed() uint64 { return f.SeedVal }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -36,21 +37,16 @@ func NewRandJPEG(qmin, qmax int, seed uint64) *RandJPEG {
 
 // Name implements Filter: the canonical spec, e.g.
 // "randjpeg(qmin=20,qmax=80,seed=1)".
-func (j *RandJPEG) Name() string { return specName("randjpeg", j.Params()) }
+func (j *RandJPEG) Name() string { return spec.Format("randjpeg", j.Params()) }
 
 // Params implements Configurable.
 func (j *RandJPEG) Params() []Param {
 	return []Param{
-		intParam("qmin", "lower bound of the per-block JPEG quality draw, in [1, 100]",
-			&j.QMin, intInRange(1, 100), nil),
-		intParam("qmax", "upper bound of the per-block JPEG quality draw, in [1, 100]",
-			&j.QMax, intInRange(1, 100), nil),
-		uintParam("seed", "base seed of the per-image quality stream", &j.SeedVal, nil),
+		spec.Int("qmin", "lower bound of the per-block JPEG quality draw", &j.QMin, 1, 100),
+		spec.Int("qmax", "upper bound of the per-block JPEG quality draw", &j.QMax, 1, 100),
+		spec.Uint("seed", "base seed of the per-image quality stream", &j.SeedVal),
 	}
 }
-
-// Set implements Configurable.
-func (j *RandJPEG) Set(name, value string) error { return setParam(j.Params(), name, value) }
 
 // Validate implements Validator: the quality bounds must be ordered.
 func (j *RandJPEG) Validate() error {

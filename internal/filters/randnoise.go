@@ -2,6 +2,7 @@ package filters
 
 import (
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -28,19 +29,16 @@ func NewRandNoise(sigma float64, seed uint64) *RandNoise {
 
 // Name implements Filter: the canonical spec, e.g.
 // "randnoise(sigma=0.05,seed=1)".
-func (n *RandNoise) Name() string { return specName("randnoise", n.Params()) }
+func (n *RandNoise) Name() string { return spec.Format("randnoise", n.Params()) }
 
 // Params implements Configurable.
 func (n *RandNoise) Params() []Param {
 	return []Param{
-		floatParam("sigma", "additive Gaussian noise stddev in pixel units",
-			&n.Sigma, floatPositive(), nil),
-		uintParam("seed", "base seed of the per-image noise stream", &n.SeedVal, nil),
+		spec.Float("sigma", "additive Gaussian noise stddev in pixel units",
+			&n.Sigma, spec.MinPositive, 10),
+		spec.Uint("seed", "base seed of the per-image noise stream", &n.SeedVal),
 	}
 }
-
-// Set implements Configurable.
-func (n *RandNoise) Set(name, value string) error { return setParam(n.Params(), name, value) }
 
 // Seed implements Stochastic.
 func (n *RandNoise) Seed() uint64 { return n.SeedVal }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -40,21 +41,16 @@ func NewRandResize(lo, hi float64, seed uint64) *RandResize {
 
 // Name implements Filter: the canonical spec, e.g.
 // "randresize(lo=0.8,hi=1,seed=1)".
-func (r *RandResize) Name() string { return specName("randresize", r.Params()) }
+func (r *RandResize) Name() string { return spec.Format("randresize", r.Params()) }
 
 // Params implements Configurable.
 func (r *RandResize) Params() []Param {
 	return []Param{
-		floatParam("lo", "lower bound of the scale draw, a fraction of input size in (0, 1]",
-			&r.Lo, floatInRange(1e-3, 1), nil),
-		floatParam("hi", "upper bound of the scale draw, a fraction of input size in (0, 1]",
-			&r.Hi, floatInRange(1e-3, 1), nil),
-		uintParam("seed", "base seed of the per-image draw stream", &r.SeedVal, nil),
+		spec.Float("lo", "lower bound of the scale draw, a fraction of input size", &r.Lo, 1e-3, 1),
+		spec.Float("hi", "upper bound of the scale draw, a fraction of input size", &r.Hi, 1e-3, 1),
+		spec.Uint("seed", "base seed of the per-image draw stream", &r.SeedVal),
 	}
 }
-
-// Set implements Configurable.
-func (r *RandResize) Set(name, value string) error { return setParam(r.Params(), name, value) }
 
 // Validate implements Validator: the scale bounds must be ordered.
 func (r *RandResize) Validate() error {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/spec"
 	"repro/internal/tensor"
 )
 
@@ -42,19 +43,16 @@ func NewTVDenoise(lambda float64, iters int) *TVDenoise {
 }
 
 // Name implements Filter: the canonical spec, e.g. "tv(lambda=0.15,iters=15)".
-func (t *TVDenoise) Name() string { return specName("tv", t.Params()) }
+func (t *TVDenoise) Name() string { return spec.Format("tv", t.Params()) }
 
 // Params implements Configurable.
 func (t *TVDenoise) Params() []Param {
 	return []Param{
-		floatParam("lambda", "TV smoothing weight; larger flattens harder",
-			&t.Lambda, floatPositive(), nil),
-		intParam("iters", "unrolled gradient-descent steps", &t.Iters, intAtLeast(1), nil),
+		spec.Float("lambda", "TV smoothing weight; larger flattens harder",
+			&t.Lambda, spec.MinPositive, 100),
+		spec.Int("iters", "unrolled gradient-descent steps", &t.Iters, 1, 1000),
 	}
 }
-
-// Set implements Configurable.
-func (t *TVDenoise) Set(name, value string) error { return setParam(t.Params(), name, value) }
 
 // step returns the stable gradient step size for the current Lambda:
 // the energy Hessian is bounded by 1 + λ‖LᵀL‖/ε with ‖LᵀL‖ ≤ 8 for the

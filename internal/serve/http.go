@@ -225,7 +225,7 @@ func (s *Server) handleDefend(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := s.Defend(r.Context(), DefendRequest{Image: img, Spec: req.Filter, Predict: req.Predict, Model: req.Model})
 	if err != nil {
-		writePredictError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	resp := defendHTTPResponse{Filter: out.Filter}
@@ -305,7 +305,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	out, err := s.Detect(r.Context(), DetectRequest{Image: img, Spec: req.Detector, TM: tm, Model: req.Model})
 	if err != nil {
-		writePredictError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, detectHTTPResponse{
@@ -424,7 +424,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		Model:       req.Model,
 	})
 	if err != nil {
-		writeAttackError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	res := out.AttackerResult
@@ -580,7 +580,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		Detector:    req.Detector,
 	})
 	if err != nil {
-		writeAttackError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	cells := make([]evalHTTPCell, len(out.Cells))
@@ -610,9 +610,6 @@ func attackTargetOrUntargeted(t *int) int {
 	return *t
 }
 
-// writeAttackError maps attack/evaluate errors onto HTTP statuses.
-func writeAttackError(w http.ResponseWriter, err error) { writeServeError(w, err) }
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -636,7 +633,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	pred, err := s.PredictModel(r.Context(), req.Model, img, tm, prec)
 	if err != nil {
-		writePredictError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, toResponse(pred, req.ReturnProbs))
@@ -673,7 +670,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	preds, err := s.PredictBatchModel(r.Context(), req.Model, imgs, tm, prec)
 	if err != nil {
-		writePredictError(w, err)
+		writeServeError(w, err)
 		return
 	}
 	results := make([]predictResponse, len(preds))
@@ -887,9 +884,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst wireObject) bool {
 	}
 	return false
 }
-
-// writePredictError maps Predict errors onto HTTP statuses.
-func writePredictError(w http.ResponseWriter, err error) { writeServeError(w, err) }
 
 // writeServeError is the unified error taxonomy of the serving surface.
 // Every serving error becomes structured JSON ({"error": …, "code": …})

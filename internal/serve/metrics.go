@@ -242,7 +242,7 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		cum := uint64(0)
 		for i, le := range scoreBuckets {
 			cum += h.bucket[i].Load()
-			fmt.Fprintf(w, "fademl_detector_score_bucket{le=%q} %d\n", formatFloat(le), cum)
+			fmt.Fprintf(w, "fademl_detector_score_bucket{le=\"%g\"} %d\n", le, cum)
 		}
 		cum += h.bucket[len(scoreBuckets)].Load()
 		fmt.Fprintf(w, "fademl_detector_score_bucket{le=\"+Inf\"} %d\n", cum)
@@ -274,8 +274,8 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		cum := uint64(0)
 		for i, le := range latencyBuckets {
 			cum += m.lat.bucket[i].Load()
-			fmt.Fprintf(w, "fademl_http_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				m.name, formatFloat(le), cum)
+			fmt.Fprintf(w, "fademl_http_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n",
+				m.name, le, cum)
 		}
 		cum += m.lat.bucket[len(latencyBuckets)].Load()
 		fmt.Fprintf(w, "fademl_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", m.name, cum)
@@ -284,8 +284,6 @@ func (s *Server) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "fademl_http_request_duration_seconds_count{route=%q} %d\n", m.name, cum)
 	}
 }
-
-func formatFloat(f float64) string { return fmt.Sprintf("%g", f) }
 
 func writeCounterHeader(w io.Writer, name, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
