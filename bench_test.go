@@ -426,11 +426,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 				b.Fatal("float32 lane unavailable")
 			}
 			ctx := context.Background()
+			req := ServeRequest{Images: []*Tensor{img}, TM: TM2, Precision: cfg.prec}
 			b.SetParallelism(32)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, err := s.PredictPrec(ctx, img, TM2, cfg.prec); err != nil {
+					if _, err := s.Do(ctx, req); err != nil {
 						b.Error(err)
 						return
 					}

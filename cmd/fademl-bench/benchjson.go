@@ -458,11 +458,12 @@ func benchServe(b *testing.B, env *fademl.Env, img *fademl.Tensor, maxBatch, cac
 		b.Fatal("float32 lane unavailable")
 	}
 	ctx := context.Background()
+	req := fademl.ServeRequest{Images: []*fademl.Tensor{img}, TM: fademl.TM2, Precision: prec}
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := s.PredictPrec(ctx, img, fademl.TM2, prec); err != nil {
+			if _, err := s.Do(ctx, req); err != nil {
 				b.Error(err)
 				return
 			}

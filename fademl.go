@@ -7,8 +7,8 @@
 // ARCHITECTURE.md is the one-page system map — layers, concurrency
 // model, and the invariants each layer guarantees. FILTERS.md documents
 // the defense library and its spec syntax; ATTACKS.md documents the
-// attack library, budgets and truncation; PERFORMANCE.md tracks the
-// performance trajectory PR by PR.
+// attack library, budgets and truncation; PERFORMANCE.md holds the
+// current performance numbers and how to reproduce them.
 //
 // The library provides, all on the standard library alone:
 //
@@ -167,6 +167,9 @@ type (
 	Server = serve.Server
 	// ServeOptions configures a Server (workers, batch size, linger).
 	ServeOptions = serve.Options
+	// ServeRequest is one prediction job for Server.Do: images plus the
+	// model, threat model and precision lane they run on.
+	ServeRequest = serve.Request
 	// Prediction is one served inference result.
 	Prediction = serve.Prediction
 	// ServeStats is a snapshot of a Server's counters.
@@ -502,8 +505,7 @@ func DetectionAUC(clean, adv []float64) float64 { return detect.AUC(clean, adv) 
 // pipeline: concurrent Predict calls coalesce into batched forwards on a
 // pool of weight-sharing network clones; every response is bit-identical
 // to a direct Pipeline.Probs call. Serve HTTP with srv.Handler() (see
-// cmd/fademl-serve) or call Predict/PredictBatch in-process; stop with
-// Close.
+// cmd/fademl-serve) or call Predict/Do in-process; stop with Close.
 func NewServer(p *Pipeline, opts ServeOptions) *Server { return serve.New(p, opts) }
 
 // Serving survivability errors, matchable with errors.Is: an admission

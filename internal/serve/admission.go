@@ -14,7 +14,7 @@ import (
 // Every request passes one of two priority lanes before it can touch a
 // worker:
 //
-//   - the interactive lane (Predict, PredictBatch, Defend) carries the
+//   - the interactive lane (Predict, Do, Defend, Detect) carries the
 //     traffic a deployed system answers in human time;
 //   - the bulk lane (Attack, Evaluate) carries adversarial crafting and
 //     sweep jobs that hold resources for seconds to minutes.
@@ -167,11 +167,22 @@ func (s *Server) refuseNew() error {
 	return nil
 }
 
-// routeContext applies a server-side per-route deadline (the lane SLO) on
-// top of the client's context. d <= 0 leaves the client context alone.
-func routeContext(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
+// enter is the gate every request passes before it may hold resources:
+// refuse new work while draining or closed, reserve n slots in lane l
+// (shed with an OverloadError when full), and apply the route's
+// server-side deadline d (the lane SLO; <= 0: none) on top of the
+// client's context. The caller defers leave.
+func (s *Server) enter(ctx context.Context, l *lane, n int, d time.Duration) (_ context.Context, leave func(), err error) {
+	if err := s.refuseNew(); err != nil {
+		return nil, nil, err
 	}
-	return context.WithTimeout(ctx, d)
+	release, err := l.admit(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d <= 0 {
+		return ctx, release, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, d)
+	return ctx, func() { cancel(); release() }, nil
 }

@@ -60,7 +60,7 @@ type AttackRequest struct {
 	// attacks.ParseAdaptive).
 	Adaptive string
 	// Model selects the attacked model version ("" = active default; see
-	// Server.PredictModel for the reference syntax).
+	// Request.Model for the reference syntax).
 	Model string
 }
 
@@ -73,14 +73,11 @@ func (s *Server) Attack(ctx context.Context, req AttackRequest) (*core.Outcome, 
 	if s.attackers == nil {
 		return nil, ErrAttacksDisabled
 	}
-	if err := s.refuseNew(); err != nil {
-		return nil, err
-	}
-	releaseLane, err := s.bulk.admit(1)
+	ctx, leave, err := s.enter(ctx, s.bulk, 1, 0) // crafting is capped per run by attackContext
 	if err != nil {
 		return nil, err
 	}
-	defer releaseLane()
+	defer leave()
 	m, err := s.resolveModel(req.Model)
 	if err != nil {
 		return nil, err
@@ -291,21 +288,16 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 	if s.attackers == nil {
 		return nil, ErrAttacksDisabled
 	}
-	if err := s.refuseNew(); err != nil {
-		return nil, err
-	}
-	releaseLane, err := s.bulk.admit(1)
+	ctx, leave, err := s.enter(ctx, s.bulk, 1, s.opts.EvaluateTimeout)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseLane()
+	defer leave()
 	m, err := s.resolveModel(req.Model)
 	if err != nil {
 		return nil, err
 	}
 	defer m.release()
-	ctx, cancelRoute := routeContext(ctx, s.opts.EvaluateTimeout)
-	defer cancelRoute()
 	if len(req.Specs) == 0 {
 		return nil, errors.New("serve: evaluate needs at least one attack spec")
 	}
@@ -533,18 +525,15 @@ func (s *Server) evaluateCell(ctx context.Context, m *servedModel, spec string, 
 	}
 	out := pre.out
 	filterName := s.filter.Name()
-	var dep Prediction
-	var err error
-	// Measurement traffic uses predictInternal: the sweep already holds a
+	// Measurement traffic is internal: the sweep already holds a
 	// bulk-lane slot, so its predictions must not consume interactive
 	// admission (or be refused mid-sweep by a drain).
-	if flt == nil {
-		dep, err = s.predictInternal(ctx, m, out.Adversarial, tm)
-	} else {
+	view := Request{Images: []*tensor.Tensor{out.Adversarial}, TM: tm}
+	if flt != nil {
 		filterName = flt.Name()
-		dep, err = s.predictInternal(ctx, m, pipeline.DeliverThrough(out.Adversarial, flt, s.acq, tm), pipeline.TM1)
-		dep.TM = tm
+		view = Request{Images: []*tensor.Tensor{pipeline.DeliverThrough(out.Adversarial, flt, s.acq, tm)}, TM: pipeline.TM1}
 	}
+	dep, err := first(s.predict(ctx, m, view, false))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -627,7 +616,7 @@ func (s *Server) craftCell(ctx context.Context, m *servedModel, spec string, tm 
 	// uses the pool: with a filter override, delivery runs on this
 	// goroutine and Net(DeliverThrough(x, ...)) is exactly the TM-I
 	// view of the delivered tensor.
-	tm1, err := s.predictInternal(ctx, m, out.Adversarial, pipeline.TM1)
+	tm1, err := first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{out.Adversarial}, TM: pipeline.TM1}, false))
 	if err != nil {
 		return nil, err
 	}

@@ -210,7 +210,7 @@ func TestPredictBatchPartialHits(t *testing.T) {
 		}
 	}
 	enqueued := s.Stats().Requests
-	preds, err := s.PredictBatch(context.Background(), imgs, pipeline.TM1)
+	preds, err := s.Do(context.Background(), Request{Images: imgs, TM: pipeline.TM1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type DefendRequest struct {
 	// prediction pool (the selected model's view of the defended input).
 	Predict bool
 	// Model selects the scoring model ("" = active default; see
-	// Server.PredictModel for the reference syntax).
+	// Request.Model for the reference syntax).
 	Model string
 }
 
@@ -79,21 +79,16 @@ func (s *Server) Defend(ctx context.Context, req DefendRequest) (*DefendResult, 
 			return v.(cachedDefend).result(), nil
 		}
 	}
-	if err := s.refuseNew(); err != nil {
-		return nil, err
-	}
-	releaseLane, err := s.interactive.admit(1)
+	ctx, leave, err := s.enter(ctx, s.interactive, 1, s.opts.DefendDeadline)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseLane()
-	ctx, cancel := routeContext(ctx, s.opts.DefendDeadline)
-	defer cancel()
+	defer leave()
 	res := &DefendResult{Filter: f.Name(), Filtered: f.Apply(req.Image)}
 	if req.Predict {
-		// The slot held above already accounts for this request;
-		// predictInternal skips a second admission pass.
-		pred, err := s.predictInternal(ctx, m, res.Filtered, pipeline.TM1)
+		// The slot held above already accounts for this request; the
+		// internal predict skips a second admission pass.
+		pred, err := first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{res.Filtered}, TM: pipeline.TM1}, false))
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/detect"
 	"repro/internal/nn"
@@ -128,7 +127,7 @@ type DetectRequest struct {
 	// view an adversarial payload arrives in.
 	TM pipeline.ThreatModel
 	// Model selects the probing model ("" = active default; see
-	// Server.PredictModel for the reference syntax).
+	// Request.Model for the reference syntax).
 	Model string
 }
 
@@ -194,16 +193,11 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 			return v.(cachedDetect).result(), nil
 		}
 	}
-	if err := s.refuseNew(); err != nil {
-		return nil, err
-	}
-	releaseLane, err := s.interactive.admit(1)
+	ctx, leave, err := s.enter(ctx, s.interactive, 1, s.opts.DefendDeadline)
 	if err != nil {
 		return nil, err
 	}
-	defer releaseLane()
-	ctx, cancel := routeContext(ctx, s.opts.DefendDeadline)
-	defer cancel()
+	defer leave()
 	// Delivery and squeezing are pure CPU work with no model state; they
 	// run on the request goroutine like Defend's filtering.
 	deliveredView := req.Image
@@ -232,16 +226,17 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 }
 
 // detectOn scores one already-delivered view: raw image plus squeezed
-// variants through the model's pool in one coalescing enqueue, then the
-// detector's scoring kernel over the probability rows. Returns the
-// verdict and the raw-view prediction.
+// variants through the model's pool as one internal predict (they
+// coalesce into the same micro-batch; the caller's slot already accounts
+// for the job), then the detector's scoring kernel over the probability
+// rows. Returns the verdict and the raw-view prediction.
 func (s *Server) detectOn(ctx context.Context, m *servedModel, det *detect.Detector, view *tensor.Tensor) (detect.Score, Prediction, error) {
 	variants := make([]*tensor.Tensor, 0, len(det.Squeezers)+1)
 	variants = append(variants, view)
 	for _, sq := range det.Squeezers {
 		variants = append(variants, sq.Apply(view))
 	}
-	preds, err := s.predictBatchInternal(ctx, m, variants)
+	preds, err := s.predict(ctx, m, Request{Images: variants, TM: pipeline.TM1}, false)
 	if err != nil {
 		return detect.Score{}, Prediction{}, err
 	}
@@ -250,69 +245,6 @@ func (s *Server) detectOn(ctx context.Context, m *servedModel, det *detect.Detec
 		squeezed[i] = preds[i+1].Probs
 	}
 	return det.ScoreFromProbs(preds[0].Probs, squeezed), preds[0], nil
-}
-
-// predictBatchInternal scores already-delivered TM-I views through the
-// model's micro-batching pool on the reference lane, for the server's
-// own composite jobs (Detect's raw+squeezed variant set, the Evaluate
-// sweep's detection axis). All images are enqueued before any reply is
-// awaited, so they coalesce into the same micro-batch; like
-// predictInternal, it skips lane admission (the caller's slot already
-// accounts for the job), per-route deadlines and the draining refusal,
-// and never takes the detect-then-correct route.
-func (s *Server) predictBatchInternal(ctx context.Context, m *servedModel, imgs []*tensor.Tensor) ([]Prediction, error) {
-	out := make([]Prediction, len(imgs))
-	ps := make([]*pending, len(imgs))
-	now := time.Now()
-	for i, img := range imgs {
-		if err := s.validate(m, img, pipeline.TM1, pipeline.Float64); err != nil {
-			return nil, err
-		}
-		if pred, _, ok := s.lookupPrediction(m, img, pipeline.TM1, pipeline.Float64, ""); ok {
-			out[i] = pred
-			continue
-		}
-		p := &pending{img: img, tm: pipeline.TM1, prec: pipeline.Float64, ctx: ctx, enq: now, done: make(chan reply, 1)}
-		select {
-		case m.pool.queue <- p:
-			s.requests.Add(1)
-			m.requests.Add(1)
-		case <-s.done:
-			s.abandon(ps[:i])
-			return nil, ErrServerClosed
-		case <-ctx.Done():
-			s.abandon(ps[:i])
-			return nil, ctx.Err()
-		}
-		ps[i] = p
-	}
-	for i, p := range ps {
-		if p == nil {
-			continue
-		}
-		select {
-		case r := <-p.done:
-			if r.err != nil {
-				return nil, r.err
-			}
-			s.cacheReply(m, imgs[i], pipeline.TM1, pipeline.Float64, "", r)
-			out[i] = r.pred
-		case <-s.done:
-			<-s.drained
-			select {
-			case r := <-p.done:
-				if r.err != nil {
-					return nil, r.err
-				}
-				out[i] = r.pred
-			default:
-				return nil, ErrServerClosed
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
 }
 
 // CalibrateDetector re-anchors the configured detector's threshold to a

@@ -175,7 +175,7 @@ func TestDetectModeCacheIsolation(t *testing.T) {
 	// The internal measurement path caches under the empty spec and must
 	// not pick up the detect-mode entry (it would carry a verdict and, for
 	// flagged inputs, corrected probabilities).
-	ip, err := s.predictInternal(context.Background(), m, img, pipeline.TM3)
+	ip, err := first(s.predict(context.Background(), m, Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM3}, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filters"
 	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 // TestGracefulDrainUnderLoad is the drain acceptance check: with an
@@ -101,5 +103,67 @@ func TestDrainIsIdempotentAndObservable(t *testing.T) {
 	s.BeginDrain()
 	if !s.Stats().Draining {
 		t.Fatal("Stats().Draining false after BeginDrain")
+	}
+}
+
+// gateFilter is an identity filter that reports when a worker has entered
+// its filter stage and then holds the batch there until released.
+type gateFilter struct {
+	filters.Identity
+	entered, release chan struct{}
+}
+
+func (g gateFilter) ApplyBatch(imgs []*tensor.Tensor) []*tensor.Tensor {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Identity.ApplyBatch(imgs)
+}
+
+// TestLateBatchReplyIsCached: a batch whose replies are collected only
+// after Close drained the pools is a reply like any other — returned to
+// the caller and stored, so the same images are cache hits afterwards.
+func TestLateBatchReplyIsCached(t *testing.T) {
+	gate := gateFilter{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s := New(pipeline.New(serveNet(t), gate, nil), Options{Workers: 1, MaxBatch: 2, MaxWait: time.Millisecond})
+	imgs := testImages(2)
+	type result struct {
+		preds []Prediction
+		err   error
+	}
+	got := make(chan result, 1)
+	go func() {
+		preds, err := s.Do(context.Background(), Request{Images: imgs, TM: pipeline.TM3})
+		got <- result{preds, err}
+	}()
+	<-gate.entered // the worker holds the full batch; no reply exists yet
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitUntil(t, 5*time.Second, "Close to signal shutdown", func() bool {
+		select {
+		case <-s.done:
+			return true
+		default:
+			return false
+		}
+	})
+	time.Sleep(20 * time.Millisecond) // let Do reach its wait on the drained pools
+	close(gate.release)
+	r := <-got
+	<-closed
+	if r.err != nil || len(r.preds) != len(imgs) {
+		t.Fatalf("Do across Close = (%d preds, %v), want the in-flight batch's replies", len(r.preds), r.err)
+	}
+	hits := s.cache.stats().Hits
+	again, err := s.Do(context.Background(), Request{Images: imgs, TM: pipeline.TM3})
+	if err != nil {
+		t.Fatalf("repeat after Close: %v (late replies were not cached)", err)
+	}
+	if s.cache.stats().Hits != hits+uint64(len(imgs)) {
+		t.Fatal("repeat after Close did not hit the cache")
+	}
+	for i := range imgs {
+		if again[i].Class != r.preds[i].Class || again[i].Prob != r.preds[i].Prob {
+			t.Fatalf("image %d: cached reply differs from the late reply", i)
+		}
 	}
 }

@@ -38,6 +38,12 @@ func (p imagePayload) tensor() (*tensor.Tensor, error) {
 		if d <= 0 {
 			return nil, fmt.Errorf("image shape %v has a non-positive dimension", p.Shape)
 		}
+		// n*d > len(Pixels): the product only grows from here, so the
+		// payload is already wrong — stop before it can wrap back around
+		// to the pixel count.
+		if d > len(p.Pixels)/n {
+			return nil, fmt.Errorf("image shape %v wants more than the %d pixels given", p.Shape, len(p.Pixels))
+		}
 		n *= d
 	}
 	if n != len(p.Pixels) {
@@ -156,14 +162,15 @@ func toResponse(p Prediction, withProbs bool) predictResponse {
 // Retry-After header, drain/shutdown refusals 503, server-side deadline
 // hits 504, a body over maxBodyBytes 413. POST bodies are decoded by the
 // wire decoder (wire.go); bytes after the body's one JSON value are a 400.
+// Every POST route is a pure body behind the one post adapter.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/predict", s.instrument("predict", s.handlePredict))
-	mux.HandleFunc("/v1/predict_batch", s.instrument("predict_batch", s.handlePredictBatch))
-	mux.HandleFunc("/v1/defend", s.instrument("defend", s.handleDefend))
-	mux.HandleFunc("/v1/detect", s.instrument("detect", s.handleDetect))
-	mux.HandleFunc("/v1/attack", s.instrument("attack", s.handleAttack))
-	mux.HandleFunc("/v1/evaluate", s.instrument("evaluate", s.handleEvaluate))
+	mux.HandleFunc("/v1/predict", s.instrument("predict", post(s.routePredict)))
+	mux.HandleFunc("/v1/predict_batch", s.instrument("predict_batch", post(s.routeBatch)))
+	mux.HandleFunc("/v1/defend", s.instrument("defend", post(s.routeDefend)))
+	mux.HandleFunc("/v1/detect", s.instrument("detect", post(s.routeDetect)))
+	mux.HandleFunc("/v1/attack", s.instrument("attack", post(s.routeAttack)))
+	mux.HandleFunc("/v1/evaluate", s.instrument("evaluate", post(s.routeEvaluate)))
 	mux.HandleFunc("/v1/models", s.instrument("models", s.handleModels))
 	mux.HandleFunc("/v1/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/v1/stats", s.instrument("stats", s.handleStats))
@@ -210,23 +217,14 @@ type defendHTTPResponse struct {
 	Prob   *float64  `json:"prob,omitempty"`
 }
 
-func (s *Server) handleDefend(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req defendHTTPRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) routeDefend(ctx context.Context, req *defendHTTPRequest) (any, error) {
 	img, err := req.tensor()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	out, err := s.Defend(r.Context(), DefendRequest{Image: img, Spec: req.Filter, Predict: req.Predict, Model: req.Model})
+	out, err := s.Defend(ctx, DefendRequest{Image: img, Spec: req.Filter, Predict: req.Predict, Model: req.Model})
 	if err != nil {
-		writeServeError(w, err)
-		return
+		return nil, err
 	}
 	resp := defendHTTPResponse{Filter: out.Filter}
 	if req.ReturnPixels == nil || *req.ReturnPixels {
@@ -238,7 +236,7 @@ func (s *Server) handleDefend(w http.ResponseWriter, r *http.Request) {
 		resp.Label = out.Prediction.Label
 		resp.Prob = &out.Prediction.Prob
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // detectHTTPRequest is the /v1/detect body: one image, an optional
@@ -283,32 +281,20 @@ type detectHTTPResponse struct {
 	Model        string                 `json:"model,omitempty"`
 }
 
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req detectHTTPRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	tm := pipeline.TM1
-	if req.TM != "" {
-		var ok bool
-		if tm, ok = s.parseTM(w, req.TM); !ok {
-			return
-		}
+func (s *Server) routeDetect(ctx context.Context, req *detectHTTPRequest) (any, error) {
+	tm, err := parseTM(req.TM, pipeline.TM1)
+	if err != nil {
+		return nil, err
 	}
 	img, err := req.tensor()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	out, err := s.Detect(r.Context(), DetectRequest{Image: img, Spec: req.Detector, TM: tm, Model: req.Model})
+	out, err := s.Detect(ctx, DetectRequest{Image: img, Spec: req.Detector, TM: tm, Model: req.Model})
 	if err != nil {
-		writeServeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, detectHTTPResponse{
+	return detectHTTPResponse{
 		Detector:     out.Detector,
 		TM:           out.TM.String(),
 		Score:        out.Verdict.Score,
@@ -321,7 +307,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		Label:        out.Prediction.Label,
 		Prob:         out.Prediction.Prob,
 		Model:        out.Prediction.Model,
-	})
+	}, nil
 }
 
 // attackHTTPRequest is the /v1/attack body. Pixels/Shape are optional:
@@ -389,31 +375,19 @@ type attackHTTPResponse struct {
 	AdvShape     []int     `json:"adv_shape,omitempty"`
 }
 
-func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req attackHTTPRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	var tm pipeline.ThreatModel
-	if req.TM != "" {
-		var ok bool
-		if tm, ok = s.parseTM(w, req.TM); !ok {
-			return
-		}
+func (s *Server) routeAttack(ctx context.Context, req *attackHTTPRequest) (any, error) {
+	tm, err := parseTM(req.TM, 0)
+	if err != nil {
+		return nil, err
 	}
 	var img *tensor.Tensor
 	if len(req.Pixels) > 0 || len(req.Shape) > 0 {
-		var err error
 		if img, err = req.tensor(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
 	}
 	target := attackTargetOrUntargeted(req.Target)
-	out, err := s.Attack(r.Context(), AttackRequest{
+	out, err := s.Attack(ctx, AttackRequest{
 		Spec:        req.Attack,
 		Image:       img,
 		Source:      req.Source,
@@ -424,8 +398,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		Model:       req.Model,
 	})
 	if err != nil {
-		writeServeError(w, err)
-		return
+		return nil, err
 	}
 	res := out.AttackerResult
 	cmp := out.Comparison
@@ -453,7 +426,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		resp.AdvPixels = res.Adversarial.Data()
 		resp.AdvShape = res.Adversarial.Shape()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // evalHTTPCase is one wire-form evaluation scenario.
@@ -540,19 +513,12 @@ type evalHTTPGap struct {
 	TM string `json:"tm"`
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req evalHTTPRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) routeEvaluate(ctx context.Context, req *evalHTTPRequest) (any, error) {
 	var tms []pipeline.ThreatModel
 	for _, spec := range req.TMs {
-		tm, ok := s.parseTM(w, spec)
-		if !ok {
-			return
+		tm, err := parseTM(spec, s.opts.DefaultTM)
+		if err != nil {
+			return nil, err
 		}
 		tms = append(tms, tm)
 	}
@@ -562,14 +528,13 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if len(c.Pixels) > 0 || len(c.Shape) > 0 {
 			img, err := imagePayload{Pixels: c.Pixels, Shape: c.Shape}.tensor()
 			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("case %d: %w", i, err))
-				return
+				return nil, fmt.Errorf("case %d: %w", i, err)
 			}
 			ec.Image = img
 		}
 		cases = append(cases, ec)
 	}
-	out, err := s.Evaluate(r.Context(), EvaluateRequest{
+	out, err := s.Evaluate(ctx, EvaluateRequest{
 		Specs:       req.Attacks,
 		TMs:         tms,
 		Filters:     req.Filters,
@@ -580,8 +545,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		Detector:    req.Detector,
 	})
 	if err != nil {
-		writeServeError(w, err)
-		return
+		return nil, err
 	}
 	cells := make([]evalHTTPCell, len(out.Cells))
 	for i, c := range out.Cells {
@@ -599,7 +563,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["gaps"] = gaps
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // attackTargetOrUntargeted maps an omitted wire target to Untargeted.
@@ -610,74 +574,56 @@ func attackTargetOrUntargeted(t *int) int {
 	return *t
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req predictRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	tm, ok := s.parseTM(w, req.TM)
-	if !ok {
-		return
-	}
-	prec, ok := s.parsePrecision(w, req.Precision)
-	if !ok {
-		return
-	}
-	img, err := req.tensor()
+func (s *Server) routePredict(ctx context.Context, req *predictRequest) (any, error) {
+	results, err := s.predictWire(ctx, []imagePayload{req.imagePayload}, false, req.TM, req.Precision, req.Model, req.ReturnProbs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	pred, err := s.PredictModel(r.Context(), req.Model, img, tm, prec)
-	if err != nil {
-		writeServeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toResponse(pred, req.ReturnProbs))
+	return results[0], nil
 }
 
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req predictBatchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) routeBatch(ctx context.Context, req *predictBatchRequest) (any, error) {
 	if len(req.Images) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("batch needs at least one image"))
-		return
+		return nil, errors.New("batch needs at least one image")
 	}
-	tm, ok := s.parseTM(w, req.TM)
-	if !ok {
-		return
-	}
-	prec, ok := s.parsePrecision(w, req.Precision)
-	if !ok {
-		return
-	}
-	imgs := make([]*tensor.Tensor, len(req.Images))
-	for i, p := range req.Images {
-		img, err := p.tensor()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("image %d: %w", i, err))
-			return
-		}
-		imgs[i] = img
-	}
-	preds, err := s.PredictBatchModel(r.Context(), req.Model, imgs, tm, prec)
+	results, err := s.predictWire(ctx, req.Images, true, req.TM, req.Precision, req.Model, req.ReturnProbs)
 	if err != nil {
-		writeServeError(w, err)
-		return
+		return nil, err
+	}
+	return map[string]any{"results": results}, nil
+}
+
+// predictWire is the shared body of /v1/predict and /v1/predict_batch:
+// resolve the wire selectors (empty selects the server default), build
+// the tensors — indexed names an image error by its position in a batch —
+// call Do, and shape each prediction for the wire.
+func (s *Server) predictWire(ctx context.Context, images []imagePayload, indexed bool, tmSpec, precSpec, model string, withProbs bool) ([]predictResponse, error) {
+	tm, err := parseTM(tmSpec, s.opts.DefaultTM)
+	if err != nil {
+		return nil, err
+	}
+	prec, err := parsePrecision(precSpec, s.opts.Precision)
+	if err != nil {
+		return nil, err
+	}
+	imgs := make([]*tensor.Tensor, len(images))
+	for i, p := range images {
+		if imgs[i], err = p.tensor(); err != nil {
+			if indexed {
+				err = fmt.Errorf("image %d: %w", i, err)
+			}
+			return nil, err
+		}
+	}
+	preds, err := s.Do(ctx, Request{Images: imgs, Model: model, TM: tm, Precision: prec})
+	if err != nil {
+		return nil, err
 	}
 	results := make([]predictResponse, len(preds))
 	for i, p := range preds {
-		results[i] = toResponse(p, req.ReturnProbs)
+		results[i] = toResponse(p, withProbs)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	return results, nil
 }
 
 // handleHealthz reports liveness for load balancers and front doors:
@@ -782,40 +728,38 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodPost:
-		var req modelsActionRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		var id pipeline.ModelID
-		var err error
-		switch req.Action {
-		case "load":
-			id, err = s.LoadModel(req.Model)
-		case "activate":
-			id, err = s.Activate(req.Model, req.Keep)
-		case "unload":
-			err = s.UnloadModel(req.Model)
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown action %q (use load, activate or unload)", req.Action))
-			return
-		}
-		if err != nil {
-			writeServeError(w, err)
-			return
-		}
-		echo := id.String()
-		if echo == "" {
-			echo = req.Model
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"action": req.Action,
-			"model":  echo,
-			"active": s.ActiveModel().String(),
-		})
+		post(s.routeModelsAction)(w, r)
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 	}
+}
+
+func (s *Server) routeModelsAction(_ context.Context, req *modelsActionRequest) (any, error) {
+	var id pipeline.ModelID
+	var err error
+	switch req.Action {
+	case "load":
+		id, err = s.LoadModel(req.Model)
+	case "activate":
+		id, err = s.Activate(req.Model, req.Keep)
+	case "unload":
+		err = s.UnloadModel(req.Model)
+	default:
+		err = fmt.Errorf("unknown action %q (use load, activate or unload)", req.Action)
+	}
+	if err != nil {
+		return nil, err
+	}
+	echo := id.String()
+	if echo == "" {
+		echo = req.Model
+	}
+	return map[string]any{
+		"action": req.Action,
+		"model":  echo,
+		"active": s.ActiveModel().String(),
+	}, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -825,32 +769,47 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// parsePrecision resolves the optional wire precision; empty selects the
-// server default. On failure it writes a 400 and returns ok == false.
-func (s *Server) parsePrecision(w http.ResponseWriter, spec string) (pipeline.Precision, bool) {
+// parsePrecision resolves an optional wire precision; empty selects def.
+func parsePrecision(spec string, def pipeline.Precision) (pipeline.Precision, error) {
 	if spec == "" {
-		return s.opts.Precision, true
+		return def, nil
 	}
-	prec, err := pipeline.ParsePrecision(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, false
-	}
-	return prec, true
+	return pipeline.ParsePrecision(spec)
 }
 
-// parseTM resolves the optional wire threat model; empty selects the
-// server default. On failure it writes a 400 and returns ok == false.
-func (s *Server) parseTM(w http.ResponseWriter, spec string) (pipeline.ThreatModel, bool) {
+// parseTM resolves an optional wire threat model; empty selects def.
+func parseTM(spec string, def pipeline.ThreatModel) (pipeline.ThreatModel, error) {
 	if spec == "" {
-		return s.opts.DefaultTM, true
+		return def, nil
 	}
-	tm, err := pipeline.ParseThreatModel(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, false
+	return pipeline.ParseThreatModel(spec)
+}
+
+// post adapts one POST route body to a handler. It owns the whole
+// preamble and epilogue — method check, pooled bounded wire decode (413
+// over maxBodyBytes, 400 otherwise), writeServeError, writeJSON — so a
+// body is a pure function of its decoded request. A body just returns its
+// input errors: writeServeError's default arm is the 400 bad_request
+// reply.
+func post[R any, P interface {
+	*R
+	wireObject
+}](body func(context.Context, P) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requireMethod(w, r, http.MethodPost) {
+			return
+		}
+		req := P(new(R))
+		if !decodeJSON(w, r, req) {
+			return
+		}
+		resp, err := body(r.Context(), req)
+		if err != nil {
+			writeServeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	return tm, true
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

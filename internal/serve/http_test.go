@@ -148,6 +148,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"shape mismatch", "/v1/predict", map[string]any{"pixels": []float64{1, 2, 3}, "shape": []int{3}}, http.StatusBadRequest},
 		{"pixel count mismatch", "/v1/predict", map[string]any{"pixels": []float64{1}, "shape": []int{3, 16, 16}}, http.StatusBadRequest},
 		{"missing shape", "/v1/predict", map[string]any{"pixels": []float64{1}}, http.StatusBadRequest},
+		// 2^32 × 2^32 wraps an int to 0 == len(pixels); the running product
+		// must refuse it before the tensor is built.
+		{"shape product overflow", "/v1/predict", map[string]any{"pixels": []float64{}, "shape": []int{1 << 32, 1 << 32}}, http.StatusBadRequest},
+		{"shape product wraps to pixel count", "/v1/predict", map[string]any{"pixels": []float64{1, 2, 3, 4}, "shape": []int{4, 1<<62 + 1}}, http.StatusBadRequest},
 		{"empty batch", "/v1/predict_batch", map[string]any{"images": []any{}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -159,6 +163,9 @@ func TestHTTPErrors(t *testing.T) {
 		var e map[string]string
 		if err := json.Unmarshal(raw, &e); err != nil || e["error"] == "" {
 			t.Errorf("%s: error body %q not structured", c.name, raw)
+		}
+		if strings.HasPrefix(c.name, "shape product") && (e["code"] != "bad_request" || !strings.Contains(e["error"], "pixels given")) {
+			t.Errorf("%s: body %q, want bad_request with the pixel-count message", c.name, raw)
 		}
 	}
 

@@ -101,7 +101,7 @@ func TestCacheAcrossVersions(t *testing.T) {
 	// the direct per-version reference bits.
 	for _, spec := range []string{"m@v1", "m@v2"} {
 		for i, img := range imgs {
-			pred, err := s.PredictModel(ctx, spec, img, pipeline.TM1, pipeline.Float64)
+			pred, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, Model: spec, TM: pipeline.TM1, Precision: pipeline.Float64}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestCacheAcrossVersions(t *testing.T) {
 	// Second pass: all hits, each bit-identical to its own version.
 	for _, spec := range []string{"m@v1", "m@v2"} {
 		for i, img := range imgs {
-			pred, err := s.PredictModel(ctx, spec, img, pipeline.TM1, pipeline.Float64)
+			pred, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, Model: spec, TM: pipeline.TM1, Precision: pipeline.Float64}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestModelAdminLifecycle(t *testing.T) {
 	if got := s.ActiveModel().String(); got != "m@v2" {
 		t.Fatalf("active after swap = %q, want m@v2", got)
 	}
-	pred, err := s.PredictModel(context.Background(), "m@v1", testImages(1)[0], pipeline.TM1, pipeline.Float64)
+	pred, err := first(s.Do(context.Background(), Request{Images: []*tensor.Tensor{testImages(1)[0]}, Model: "m@v1", TM: pipeline.TM1, Precision: pipeline.Float64}))
 	if err != nil || pred.Model != "m@v1" {
 		t.Fatalf("pinned predict on kept model = %q, %v", pred.Model, err)
 	}
@@ -272,7 +272,7 @@ func TestModelAdminLifecycle(t *testing.T) {
 	if err := s.UnloadModel("m@v1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictModel(context.Background(), "m@v1", testImages(1)[0], pipeline.TM1, pipeline.Float64); err == nil {
+	if _, err := first(s.Do(context.Background(), Request{Images: []*tensor.Tensor{testImages(1)[0]}, Model: "m@v1", TM: pipeline.TM1, Precision: pipeline.Float64})); err == nil {
 		t.Fatal("predicting on an unloaded model must fail")
 	}
 }

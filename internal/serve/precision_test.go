@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 // TestPredictFloat32Lane checks the fast lane end to end through the
@@ -21,7 +22,7 @@ func TestPredictFloat32Lane(t *testing.T) {
 	s := New(pipe, Options{Workers: 2, MaxBatch: 4, MaxWait: time.Millisecond, CacheSize: -1})
 	defer s.Close()
 	for i, img := range testImages(6) {
-		p32, err := s.PredictPrec(context.Background(), img, pipeline.TM2, pipeline.Float32)
+		p32, err := first(s.Do(context.Background(), Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM2, Precision: pipeline.Float32}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func TestPredictFloat32Lane(t *testing.T) {
 				t.Fatalf("image %d: served f32 row differs from direct Probs32 at class %d", i, j)
 			}
 		}
-		p64, err := s.PredictPrec(context.Background(), img, pipeline.TM2, pipeline.Float64)
+		p64, err := first(s.Do(context.Background(), Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM2, Precision: pipeline.Float64}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,11 @@ func TestPrecisionCacheIsolation(t *testing.T) {
 	img := testImages(1)[0]
 	ctx := context.Background()
 
-	p64, err := s.PredictPrec(ctx, img, pipeline.TM3, pipeline.Float64)
+	p64, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM3, Precision: pipeline.Float64}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p32, err := s.PredictPrec(ctx, img, pipeline.TM3, pipeline.Float32)
+	p32, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM3, Precision: pipeline.Float32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,11 @@ func TestPrecisionCacheIsolation(t *testing.T) {
 	}
 	// Both repeats must now be hits, each bit-identical to its own lane.
 	hitsBefore := s.cache.stats().Hits
-	r64, err := s.PredictPrec(ctx, img, pipeline.TM3, pipeline.Float64)
+	r64, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM3, Precision: pipeline.Float64}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := s.PredictPrec(ctx, img, pipeline.TM3, pipeline.Float32)
+	r32, err := first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, TM: pipeline.TM3, Precision: pipeline.Float32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPrecisionMixedBatch(t *testing.T) {
 			prec = pipeline.Float32
 		}
 		go func(i int, prec pipeline.Precision) {
-			p, err := s.PredictPrec(context.Background(), imgs[i], pipeline.TM1, prec)
+			p, err := first(s.Do(context.Background(), Request{Images: []*tensor.Tensor{imgs[i]}, TM: pipeline.TM1, Precision: prec}))
 			ch <- res{i, p, err}
 		}(i, prec)
 		_ = img

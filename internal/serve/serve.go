@@ -32,7 +32,7 @@
 // Survivability layer (admission → cache → deadlines → chaos):
 //
 // In front of the queues sit two bounded admission lanes — interactive
-// (Predict/PredictBatch/Defend) and bulk (Attack/Evaluate) — so a flood
+// (Predict/Do/Defend/Detect) and bulk (Attack/Evaluate) — so a flood
 // of crafting traffic can never starve prediction (admission.go); a
 // content-addressed LRU whose keys carry the model identity answers
 // repeat queries bit-identically without worker time (cache.go);
@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrServerClosed is returned by Predict/PredictBatch after Close.
+// ErrServerClosed is returned by Predict/Do after Close.
 var ErrServerClosed = errors.New("serve: server closed")
 
 // Options configures a Server. The zero value selects sensible defaults.
@@ -87,8 +88,8 @@ type Options struct {
 	// (Predict, and HTTP requests without a "precision" field). The zero
 	// value is pipeline.Float64, the reference lane; pipeline.Float32
 	// selects the fused float32 fast path. Per-request overrides go
-	// through PredictPrec / the HTTP "precision" field; float32 requests
-	// are refused if the selected model has no float32 lowering.
+	// through Request.Precision / the HTTP "precision" field; float32
+	// requests are refused if the selected model has no float32 lowering.
 	Precision pipeline.Precision
 	// ClassName, when set, labels predictions (e.g. gtsrb.ClassName).
 	ClassName func(int) string
@@ -142,7 +143,7 @@ type Options struct {
 	// deadlines, content-addressed caching, fault injection).
 
 	// InteractiveLimit caps admitted-but-unfinished interactive requests
-	// (Predict/PredictBatch/Defend — queued and in flight both count).
+	// (Predict/Do/Defend/Detect — queued and in flight both count).
 	// Excess load is shed with an OverloadError (HTTP 429 + Retry-After)
 	// instead of queuing unboundedly. 0 selects 4 × Workers × MaxBatch;
 	// negative disables the bound.
@@ -152,10 +153,10 @@ type Options struct {
 	// honestly instead of piling up behind AttackWorkers. 0 selects
 	// 4 × AttackWorkers; negative disables the bound.
 	BulkLimit int
-	// PredictDeadline is the server-side SLO applied to each Predict
-	// (and, scaled by the number of spanned micro-batches, PredictBatch):
-	// the request fails with context.DeadlineExceeded (HTTP 504) rather
-	// than holding a worker past the lane's SLO. <= 0 disables;
+	// PredictDeadline is the server-side SLO applied to each Predict/Do,
+	// scaled by the number of micro-batches its cache misses span: the
+	// request fails with context.DeadlineExceeded (HTTP 504) rather than
+	// holding a worker past the lane's SLO. <= 0 disables;
 	// cmd/fademl-serve defaults it to 500ms.
 	PredictDeadline time.Duration
 	// DefendDeadline is the per-route SLO for Defend (<= 0 disables;
@@ -314,7 +315,7 @@ func (p *pending) answer(r reply) {
 
 // Server is a concurrent micro-batching inference service over a table
 // of versioned models. Construct with New (one pipeline) or NewFromModel
-// (a registry entry), serve via Predict/PredictBatch (or the HTTP
+// (a registry entry), serve via Predict/Do (or the HTTP
 // Handler), manage versions with LoadModel/Activate/UnloadModel, stop
 // with Close.
 type Server struct {
@@ -451,254 +452,164 @@ func (s *Server) Close() {
 	s.drainedOnce.Do(func() { close(s.drained) })
 }
 
-// Predict scores one CHW image under tm (0 selects Options.DefaultTM)
-// on the active model through the micro-batching path. The returned
-// Prediction is bit-identical to a direct pipeline.Probs call for the
-// same image and threat model. Safe for concurrent use from any number
-// of goroutines — concurrency is what fills batches.
+// Request is one prediction job: every image is scored under the same
+// threat model, on the same numeric lane, by the same pinned model.
+type Request struct {
+	// Images are the CHW images to score (each must match the selected
+	// model's input shape). Results are positional.
+	Images []*tensor.Tensor
+	// Model selects the model: "" runs the active default, "name@version"
+	// pins an exact loaded version, a bare name the highest loaded version
+	// of that name. The selection is pinned for the whole request, so it
+	// keeps answering even if a hot-swap retires it mid-flight.
+	Model string
+	// TM is the threat model the images are delivered under; the zero
+	// value selects Options.DefaultTM.
+	TM pipeline.ThreatModel
+	// Precision is the numeric lane, stated explicitly: the zero value is
+	// pipeline.Float64, the reference path; pipeline.Float32 is the fused
+	// fast path (refused with an error if the model has no float32
+	// lowering). Lanes are cached under different content addresses, so a
+	// float32 hit can never answer a float64 request.
+	Precision pipeline.Precision
+}
+
+// Do scores a request through the micro-batching path. The images are
+// enqueued individually so they coalesce with other clients' traffic (a
+// request larger than MaxBatch simply spans several micro-batches); the
+// first error wins. Every returned Prediction is bit-identical to a
+// direct pipeline.Probs call for the same image and threat model. Safe
+// for concurrent use from any number of goroutines — concurrency is what
+// fills batches.
 //
-// Predict is the interactive lane: a request beyond InteractiveLimit is
-// shed with an OverloadError instead of queued, PredictDeadline bounds
-// how long it may hold resources, and a content-cache hit (same image
-// bytes, same threat model, same model version) is answered immediately
-// — bit-identically — without touching a worker, even while the lane is
-// shedding.
-func (s *Server) Predict(ctx context.Context, img *tensor.Tensor, tm pipeline.ThreatModel) (Prediction, error) {
-	return s.PredictModel(ctx, "", img, tm, s.opts.Precision)
-}
-
-// PredictPrec is Predict with an explicit numeric lane: pipeline.Float64
-// is the reference path, pipeline.Float32 the fused fast path (refused
-// with an error if the model has no float32 lowering). Predictions from
-// different lanes are cached under different content addresses, so a
-// float32 hit can never answer a float64 request.
-func (s *Server) PredictPrec(ctx context.Context, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision) (Prediction, error) {
-	return s.PredictModel(ctx, "", img, tm, prec)
-}
-
-// PredictModel is PredictPrec with explicit model selection: "" runs the
-// active default, "name@version" pins an exact loaded version, a bare
-// name the highest loaded version of that name. The selected model is
-// pinned for the whole request, so it keeps answering even if a
-// hot-swap retires it mid-flight.
-func (s *Server) PredictModel(ctx context.Context, model string, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision) (Prediction, error) {
-	if tm == 0 {
-		tm = s.opts.DefaultTM
-	}
-	m, err := s.resolveModel(model)
-	if err != nil {
-		return Prediction{}, err
-	}
-	defer m.release()
-	if err := s.validate(m, img, tm, prec); err != nil {
-		return Prediction{}, err
-	}
-	if pred, _, ok := s.lookupPrediction(m, img, tm, prec, s.detSpec); ok {
-		return pred, nil
-	}
-	if err := s.refuseNew(); err != nil {
-		return Prediction{}, err
-	}
-	release, err := s.interactive.admit(1)
-	if err != nil {
-		return Prediction{}, err
-	}
-	defer release()
-	ctx, cancel := routeContext(ctx, s.opts.PredictDeadline)
-	defer cancel()
-	return s.predictAdmitted(ctx, m, img, tm, prec, s.detSpec)
-}
-
-// predictInternal is the serving path for the server's own measurement
-// traffic (the Evaluate sweep's TM-I and deployed views): it shares the
-// selected model's micro-batching pool and the content cache but skips
-// lane admission, the per-route deadline and the draining refusal — an
-// admitted bulk job is already accounted for in the bulk lane and must
-// be able to finish its measurements while a drain completes. The caller
-// holds the model acquisition for the whole sweep.
-func (s *Server) predictInternal(ctx context.Context, m *servedModel, img *tensor.Tensor, tm pipeline.ThreatModel) (Prediction, error) {
-	if tm == 0 {
-		tm = s.opts.DefaultTM
-	}
-	// Measurement traffic always runs on the reference float64 lane: the
-	// Evaluate sweep's numbers must match the paper path regardless of the
-	// serving default.
-	const prec = pipeline.Float64
-	if err := s.validate(m, img, tm, prec); err != nil {
-		return Prediction{}, err
-	}
-	// Measurement traffic is cached and enqueued under the empty detector
-	// spec (pending.detect stays false): detection never alters what the
-	// sweep measures, and a detect-routed answer can never be replayed
-	// into it.
-	if pred, _, ok := s.lookupPrediction(m, img, tm, prec, ""); ok {
-		return pred, nil
-	}
-	return s.predictAdmitted(ctx, m, img, tm, prec, "")
-}
-
-// predictAdmitted enqueues one already-admitted request on the model's
-// pool, waits for its reply and fills the content cache on success.
-// detSpec is the detector spec the reply is cached under; non-empty
-// marks the slot for the detect-then-correct route.
-func (s *Server) predictAdmitted(ctx context.Context, m *servedModel, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision, detSpec string) (Prediction, error) {
-	p := &pending{img: img, tm: tm, prec: prec, ctx: ctx, enq: time.Now(), done: make(chan reply, 1), detect: detSpec != ""}
-	select {
-	case m.pool.queue <- p:
-		s.requests.Add(1)
-		m.requests.Add(1)
-	case <-s.done:
-		return Prediction{}, ErrServerClosed
-	case <-ctx.Done():
-		return Prediction{}, ctx.Err()
-	}
-	select {
-	case r := <-p.done:
-		s.cacheReply(m, img, tm, prec, detSpec, r)
-		return r.pred, r.err
-	case <-s.done:
-		// The server is shutting down; the batch holding this request may
-		// still be in flight on a worker. Wait for the pools to drain (a
-		// bounded wait — workers finish their current batch and exit),
-		// then take the reply if one was produced.
-		<-s.drained
-		select {
-		case r := <-p.done:
-			s.cacheReply(m, img, tm, prec, detSpec, r)
-			return r.pred, r.err
-		default:
-			return Prediction{}, ErrServerClosed
-		}
-	case <-ctx.Done():
-		return Prediction{}, ctx.Err()
-	}
-}
-
-// cacheReply stores a successful reply under its content address.
-func (s *Server) cacheReply(m *servedModel, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision, detSpec string, r reply) {
-	if r.err == nil && s.cache != nil {
-		s.storePrediction(predCacheKey(m, img, tm, prec, detSpec), r.pred)
-	}
-}
-
-// PredictBatch scores a client-supplied batch on the active model. The
-// images are enqueued individually so they coalesce with other clients'
-// traffic (a batch larger than MaxBatch simply spans several
-// micro-batches). Results are positional; the first error wins.
-//
-// Admission accounting covers only the images the content cache cannot
-// answer; PredictDeadline, when set, is scaled by the number of
-// micro-batches the residual batch spans.
-func (s *Server) PredictBatch(ctx context.Context, imgs []*tensor.Tensor, tm pipeline.ThreatModel) ([]Prediction, error) {
-	return s.PredictBatchModel(ctx, "", imgs, tm, s.opts.Precision)
-}
-
-// PredictBatchPrec is PredictBatch with an explicit numeric lane (see
-// PredictPrec).
-func (s *Server) PredictBatchPrec(ctx context.Context, imgs []*tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision) ([]Prediction, error) {
-	return s.PredictBatchModel(ctx, "", imgs, tm, prec)
-}
-
-// PredictBatchModel is PredictBatch with explicit model selection (see
-// PredictModel); the whole batch runs on one pinned model version.
-func (s *Server) PredictBatchModel(ctx context.Context, model string, imgs []*tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision) ([]Prediction, error) {
-	if tm == 0 {
-		tm = s.opts.DefaultTM
-	}
-	m, err := s.resolveModel(model)
+// Do is the interactive lane: a content-cache hit (same image bytes,
+// threat model, lane and model version) is answered immediately —
+// bit-identically — without touching a worker, even while the lane is
+// shedding; only the images the cache cannot answer count against
+// InteractiveLimit (beyond it the request is shed with an OverloadError
+// instead of queued), and PredictDeadline, scaled by the number of
+// micro-batches those images span, bounds how long the request may hold
+// resources.
+func (s *Server) Do(ctx context.Context, req Request) ([]Prediction, error) {
+	m, err := s.resolveModel(req.Model)
 	if err != nil {
 		return nil, err
 	}
 	defer m.release()
-	for _, img := range imgs {
+	return s.predict(ctx, m, req, true)
+}
+
+// Predict is the one-image shorthand for Do on the active model and the
+// server's default lane (Options.Precision); tm == 0 selects
+// Options.DefaultTM.
+func (s *Server) Predict(ctx context.Context, img *tensor.Tensor, tm pipeline.ThreatModel) (Prediction, error) {
+	return first(s.Do(ctx, Request{Images: []*tensor.Tensor{img}, TM: tm, Precision: s.opts.Precision}))
+}
+
+// first unwraps a one-image reply.
+func first(preds []Prediction, err error) (Prediction, error) {
+	if err != nil {
+		return Prediction{}, err
+	}
+	return preds[0], nil
+}
+
+// predict is the one serving path: validate every image, answer what the
+// content cache can, enqueue the misses on m's pool — all before any
+// reply is awaited, so they coalesce into the same micro-batches — await
+// them and fill the cache. The caller holds m's acquisition; req.Model
+// is already resolved and ignored here.
+//
+// external is the only switch. External traffic (Do) passes interactive
+// admission, the draining refusal and PredictDeadline, and is cached and
+// routed under the configured detector spec (detect-then-correct).
+// Internal traffic is the server's own measurement work — Defend's
+// optional prediction, Detect's raw+squeezed variant set, the Evaluate
+// sweep's views — whose caller already holds a lane slot and a route
+// deadline and must be able to finish while a drain completes; it always
+// runs on the reference float64 lane under the empty detector spec, so
+// the sweep's numbers match the paper path regardless of the serving
+// default and a detect-routed answer can never be replayed into it.
+func (s *Server) predict(ctx context.Context, m *servedModel, req Request, external bool) ([]Prediction, error) {
+	tm, prec, detSpec := req.TM, pipeline.Float64, ""
+	if tm == 0 {
+		tm = s.opts.DefaultTM
+	}
+	if external {
+		prec, detSpec = req.Precision, s.detSpec
+	}
+	for _, img := range req.Images {
 		if err := s.validate(m, img, tm, prec); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]Prediction, len(imgs))
-	var missIdx []int
-	for i, img := range imgs {
-		if pred, _, ok := s.lookupPrediction(m, img, tm, prec, s.detSpec); ok {
-			out[i] = pred
-			continue
-		}
-		missIdx = append(missIdx, i)
+	type miss struct {
+		idx int
+		key cacheKey
+		p   *pending
 	}
-	if len(missIdx) == 0 {
+	out := make([]Prediction, len(req.Images))
+	var misses []miss
+	for i, img := range req.Images {
+		pred, key, ok := s.lookupPrediction(m, img, tm, prec, detSpec)
+		if ok {
+			out[i] = pred
+		} else {
+			misses = append(misses, miss{idx: i, key: key})
+		}
+	}
+	if len(misses) == 0 {
 		return out, nil
 	}
-	if err := s.refuseNew(); err != nil {
-		return nil, err
+	if external {
+		var leave func()
+		var err error
+		deadline := s.opts.PredictDeadline * time.Duration(1+(len(misses)-1)/s.opts.MaxBatch)
+		if ctx, leave, err = s.enter(ctx, s.interactive, len(misses), deadline); err != nil {
+			return nil, err
+		}
+		defer leave()
 	}
-	release, err := s.interactive.admit(len(missIdx))
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	deadline := s.opts.PredictDeadline
-	if deadline > 0 {
-		deadline *= time.Duration(1 + (len(missIdx)-1)/s.opts.MaxBatch)
-	}
-	ctx, cancel := routeContext(ctx, deadline)
-	defer cancel()
-
-	ps := make([]*pending, len(missIdx))
 	now := time.Now()
-	for i, idx := range missIdx {
-		p := &pending{img: imgs[idx], tm: tm, prec: prec, ctx: ctx, enq: now, done: make(chan reply, 1), detect: s.detSpec != ""}
+	for i := range misses {
+		p := &pending{img: req.Images[misses[i].idx], tm: tm, prec: prec, ctx: ctx, enq: now, done: make(chan reply, 1), detect: detSpec != ""}
 		select {
 		case m.pool.queue <- p:
 			s.requests.Add(1)
 			m.requests.Add(1)
 		case <-s.done:
-			s.abandon(ps[:i])
 			return nil, ErrServerClosed
 		case <-ctx.Done():
-			s.abandon(ps[:i])
 			return nil, ctx.Err()
 		}
-		ps[i] = p
+		misses[i].p = p
 	}
-	for i, p := range ps {
-		idx := missIdx[i]
+	for _, ms := range misses {
+		var r reply
 		select {
-		case r := <-p.done:
-			if r.err != nil {
-				return nil, r.err
-			}
-			s.cacheReply(m, imgs[idx], tm, prec, s.detSpec, r)
-			out[idx] = r.pred
+		case r = <-ms.p.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		case <-s.done:
+			// The server is shutting down; the batch holding this request
+			// may still be in flight on a worker. Wait for the pools to
+			// drain (a bounded wait — workers finish their current batch
+			// and exit), then take the reply if one was produced: a late
+			// reply is a reply like any other.
 			<-s.drained
 			select {
-			case r := <-p.done:
-				if r.err != nil {
-					return nil, r.err
-				}
-				out[idx] = r.pred
+			case r = <-ms.p.done:
 			default:
 				return nil, ErrServerClosed
 			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		s.storePrediction(ms.key, r.pred)
+		out[ms.idx] = r.pred
 	}
 	return out, nil
-}
-
-// abandon drains any replies already produced for requests the caller is
-// walking away from, so worker sends never block (done is buffered) and
-// the GC can collect the slots.
-func (s *Server) abandon(ps []*pending) {
-	for _, p := range ps {
-		if p == nil {
-			continue
-		}
-		select {
-		case <-p.done:
-		default:
-		}
-	}
 }
 
 // validate rejects malformed input at the API boundary so shape panics
@@ -717,14 +628,8 @@ func (s *Server) validate(m *servedModel, img *tensor.Tensor, tm pipeline.Threat
 	if img == nil {
 		return errors.New("serve: nil image")
 	}
-	got := img.Shape()
-	if len(got) != len(m.inShape) {
+	if got := img.Shape(); !slices.Equal(got, m.inShape) {
 		return fmt.Errorf("serve: image shape %v, model %s wants %v", got, m.key, m.inShape)
-	}
-	for i := range got {
-		if got[i] != m.inShape[i] {
-			return fmt.Errorf("serve: image shape %v, model %s wants %v", got, m.key, m.inShape)
-		}
 	}
 	return nil
 }

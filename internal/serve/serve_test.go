@@ -168,7 +168,7 @@ func TestServeFlushOnLinger(t *testing.T) {
 }
 
 // TestServeSoak is the short -race soak: concurrent clients mixing threat
-// models and PredictBatch against one server, every response checked
+// models and batch Do against one server, every response checked
 // against the direct path.
 func TestServeSoak(t *testing.T) {
 	pipe := servePipeline(t)
@@ -196,7 +196,7 @@ func TestServeSoak(t *testing.T) {
 				i := (c + r) % len(imgs)
 				tm := tms[(c+r)%len(tms)]
 				if c%3 == 0 && r%5 == 0 {
-					preds, err := s.PredictBatch(context.Background(), imgs, tm)
+					preds, err := s.Do(context.Background(), Request{Images: imgs, TM: tm})
 					if err != nil {
 						errs <- err
 						return
@@ -278,8 +278,8 @@ func TestServeClose(t *testing.T) {
 	if _, err := s.Predict(context.Background(), testImages(1)[0], pipeline.TM2); err != ErrServerClosed {
 		t.Fatalf("Predict after Close = %v, want ErrServerClosed", err)
 	}
-	if _, err := s.PredictBatch(context.Background(), testImages(2), pipeline.TM2); err != ErrServerClosed {
-		t.Fatalf("PredictBatch after Close = %v, want ErrServerClosed", err)
+	if _, err := s.Do(context.Background(), Request{Images: testImages(2), TM: pipeline.TM2}); err != ErrServerClosed {
+		t.Fatalf("Do after Close = %v, want ErrServerClosed", err)
 	}
 }
 

@@ -86,12 +86,10 @@ func nested(depth int) string {
 	return strings.Repeat("[", depth) + strings.Repeat("]", depth)
 }
 
-func FuzzWireDecode(f *testing.F) {
-	for _, seed := range [][]byte{
-		benchPredictBody(4), benchBatchBody(3, 4), benchDefendBody(4),
-	} {
-		f.Add(seed)
-	}
+// wireSeeds is the request-body corpus FuzzWireDecode and FuzzRoutes
+// start from.
+func wireSeeds() [][]byte {
+	seeds := [][]byte{benchPredictBody(4), benchBatchBody(3, 4), benchDefendBody(4)}
 	for _, seed := range []string{
 		// Whole-body forms.
 		``, ` `, `null`, ` null `, `{}`, `[]`, `7`, `"x"`, `{} x`, `{}{}`, "{}\n", `{"tm":"2"`, `{"tm" "2"}`, `{,}`, `{"tm":"2",}`,
@@ -135,7 +133,14 @@ func FuzzWireDecode(f *testing.F) {
 		`{"x":` + nested(9999) + `}`, `{"x":` + nested(10000) + `}`, nested(10001),
 		`{"pixels":` + nested(10000) + `}`, `{"images":[{"x":` + nested(9997) + `}]}`, `{"images":[{"x":` + nested(9998) + `}]}`,
 	} {
-		f.Add([]byte(seed))
+		seeds = append(seeds, []byte(seed))
+	}
+	return seeds
+}
+
+func FuzzWireDecode(f *testing.F) {
+	for _, seed := range wireSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(checkWireAgrees)
 }
