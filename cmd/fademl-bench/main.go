@@ -34,33 +34,10 @@ func main() {
 	curves := flag.Bool("curves", true, "include the accuracy-vs-filter curves in Figs. 7/9")
 	filterList := flag.String("filters", "", "comma-separated filter specs replacing the LAP/LAR grid in Figs. 7/9, e.g. 'median(r=2),chain(lap(np=8),bitdepth(bits=5))'")
 	workers := flag.Int("workers", runtime.NumCPU(), "experiment worker pool size (1 = serial; results are identical either way)")
-	benchJSON := flag.String("bench-json", "", "write the benchmark trajectory (wall/bytes/allocs for the figure and substrate benchmarks) as JSON to this file and exit; see PERFORMANCE.md for the schema")
-	benchSelect := flag.String("bench-select", "matmul,vggforward,vgginputgrad,onepixel,serve,serve_unbatched,serve_cached,serve_swap,overload,precision_drift,detect,adaptive_gap,fig7,fig9,filters", "comma-separated benchmark subset for -bench-json")
-	benchPrecisions := flag.String("precisions", "", "comma-separated precision lanes sweeping the precision-aware -bench-json benchmarks, e.g. 'float64,float32' records matmul+matmul32, vggforward+vggforward32, serve+serve_f32")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *benchJSON != "" {
-		// The benchmark trajectory defaults to the tiny profile (the one
-		// PERFORMANCE.md tracks across PRs) unless -profile was given
-		// explicitly.
-		name := "tiny"
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "profile" {
-				name = *profileName
-			}
-		})
-		p, err := fademl.ParseProfile(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeBenchJSON(*benchJSON, *benchSelect, *benchPrecisions, p, *cacheDir, *workers); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	p, err := fademl.ParseProfile(*profileName)
 	if err != nil {
@@ -77,25 +54,25 @@ func main() {
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 
 	if want("5") {
-		run := time.Now()
+		cost := meter()
 		res, err := fademl.RunFig5(ctx, env, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Table())
-		fmt.Printf("payload success rate: %.0f%%  (%.0fs)\n\n", 100*res.SuccessRate(), time.Since(run).Seconds())
+		fmt.Printf("payload success rate: %.0f%%  (%s)\n\n", 100*res.SuccessRate(), cost())
 	}
 	if want("6") {
-		run := time.Now()
+		cost := meter()
 		res, err := fademl.RunFig6(ctx, env, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Table())
-		fmt.Printf("max top-5 drop under attack: %.1f points  (%.0fs)\n\n", 100*res.MaxDrop(), time.Since(run).Seconds())
+		fmt.Printf("max top-5 drop under attack: %.1f points  (%s)\n\n", 100*res.MaxDrop(), cost())
 	}
 	if want("7") {
-		run := time.Now()
+		cost := meter()
 		res, err := fademl.RunFig7(ctx, env, fademl.SweepOptions{
 			FilterSpecs:    fademl.SplitFilterSpecs(*filterList),
 			IncludeCurves:  *curves,
@@ -105,11 +82,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Table())
-		fmt.Printf("neutralization rate: %.0f%%, survival rate: %.0f%%  (%.0fs)\n\n",
-			100*res.NeutralizationRate(), 100*res.SurvivalRate(), time.Since(run).Seconds())
+		fmt.Printf("neutralization rate: %.2f%%, survival rate: %.2f%%  (%s)\n\n",
+			100*res.NeutralizationRate(), 100*res.SurvivalRate(), cost())
 	}
 	if want("9") {
-		run := time.Now()
+		cost := meter()
 		res, err := fademl.RunFig9(ctx, env, fademl.SweepOptions{
 			FilterSpecs:    fademl.SplitFilterSpecs(*filterList),
 			IncludeCurves:  *curves,
@@ -119,16 +96,29 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Table())
-		fmt.Printf("survival rate: %.0f%%  (%.0fs)\n\n", 100*res.SurvivalRate(), time.Since(run).Seconds())
+		fmt.Printf("survival rate: %.2f%%  (%s)\n\n", 100*res.SurvivalRate(), cost())
 	}
 	if want("abl") {
-		run := time.Now()
+		cost := meter()
 		if err := runAblations(ctx, env); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("ablations done  (%.0fs)\n\n", time.Since(run).Seconds())
+		fmt.Printf("ablations done  (%s)\n\n", cost())
 	}
 	fmt.Printf("total wall time: %.0fs\n", time.Since(start).Seconds())
+}
+
+// meter starts timing one figure run; the returned func formats its wall
+// seconds and bytes allocated — the research path's cost, which bench/
+// records only for its own 360-cell grid, not per figure.
+func meter() func() string {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start, alloc := time.Now(), ms.TotalAlloc
+	return func() string {
+		runtime.ReadMemStats(&ms)
+		return fmt.Sprintf("%.1fs, %.2f GB allocated", time.Since(start).Seconds(), float64(ms.TotalAlloc-alloc)/1e9)
+	}
 }
 
 // runAblations prints the design-choice sweeps of DESIGN.md.

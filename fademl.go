@@ -70,7 +70,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/analysis"
 	"repro/internal/attacks"
 	"repro/internal/core"
 	"repro/internal/detect"
@@ -79,27 +78,11 @@ import (
 	"repro/internal/front"
 	"repro/internal/gtsrb"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/pipeline"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
-
-// Parallelism.
-//
-// The experiment engine (figure runners, train.Evaluate, the ablations)
-// fans independent grid cells out over a process-wide bounded worker
-// pool; results are bit-identical to a serial run regardless of pool
-// size. Individual networks stay single-threaded — concurrency comes
-// from weight-sharing clones (Network.Clone), one per worker.
-
-// SetWorkers sets the process-wide experiment worker pool size. n <= 0
-// resets to runtime.NumCPU(); 1 runs everything serially.
-func SetWorkers(n int) { parallel.SetWorkers(n) }
-
-// WorkerCount returns the current worker pool size.
-func WorkerCount() int { return parallel.Workers() }
 
 // Core value types re-exported from the internal packages.
 type (
@@ -125,8 +108,6 @@ type (
 	Param = attacks.Param
 	// ConfigurableAttack is an attack exposing its knobs as Params().
 	ConfigurableAttack = attacks.Configurable
-	// FilterParam describes one spec-settable filter knob.
-	FilterParam = filters.Param
 	// ConfigurableFilter is a filter exposing its knobs as Params().
 	ConfigurableFilter = filters.Configurable
 	// Classifier is the attacker's differentiable model interface.
@@ -134,9 +115,6 @@ type (
 	// AdaptiveMode selects how an attacker models the deployed
 	// pre-processing chain: blind, bpda, or eot(draws=N).
 	AdaptiveMode = attacks.AdaptiveMode
-	// StochasticFilter is a randomized filter whose output is a pure
-	// function of (Seed(), input); WithSeed derives fresh draws.
-	StochasticFilter = filters.Stochastic
 	// Pipeline is the deployed inference system of the paper's Fig. 2.
 	Pipeline = pipeline.Pipeline
 	// Acquisition simulates the data-capture stage of Threat Model II.
@@ -149,8 +127,6 @@ type (
 	// Net32 is a frozen float32 inference snapshot of a Network with
 	// fused conv+ReLU / dense+ReLU kernels (Network.ToFloat32).
 	Net32 = nn.Net32
-	// Comparison is a Section III methodology measurement.
-	Comparison = analysis.Comparison
 	// Run couples a pipeline, an attack and a threat model for Execute.
 	Run = core.Run
 	// Outcome is Execute's result: attacker view plus deployed view.
@@ -167,13 +143,6 @@ type (
 	Server = serve.Server
 	// ServeOptions configures a Server (workers, batch size, linger).
 	ServeOptions = serve.Options
-	// ServeRequest is one prediction job for Server.Do: images plus the
-	// model, threat model and precision lane they run on.
-	ServeRequest = serve.Request
-	// Prediction is one served inference result.
-	Prediction = serve.Prediction
-	// ServeStats is a snapshot of a Server's counters.
-	ServeStats = serve.Stats
 	// EvalCase is one source→target scenario for the serving layer's
 	// robustness endpoints.
 	EvalCase = serve.EvalCase
@@ -184,36 +153,15 @@ type (
 	ServeEvaluateRequest = serve.EvaluateRequest
 	// ServeDefendRequest describes one server-side filtering job.
 	ServeDefendRequest = serve.DefendRequest
-	// ServeDefendResult is the outcome of a server-side filtering job.
-	ServeDefendResult = serve.DefendResult
 	// Detector is the feature-squeezing discrepancy ensemble: an input is
 	// flagged when the model's prediction moves too much under any of the
 	// detector's squeezers.
 	Detector = detect.Detector
-	// DetectScore is one detector verdict: aggregated score, flag and
-	// per-squeezer breakdown.
-	DetectScore = detect.Score
-	// SqueezerScore is one squeezer's contribution to a DetectScore.
-	SqueezerScore = detect.SqueezerScore
-	// DetectMetric selects the detector's aggregation metric (L1 distance
-	// or top-1 disagreement).
-	DetectMetric = detect.Metric
-	// ROCPoint is one detector operating point (threshold, FPR, TPR).
-	ROCPoint = detect.ROCPoint
 	// ServeDetectRequest describes one on-demand /v1/detect job.
 	ServeDetectRequest = serve.DetectRequest
-	// ServeDetectResult is the outcome of a server-side detection job.
-	ServeDetectResult = serve.DetectResult
-	// ServeDetection is the detector verdict attached to a served
-	// Prediction on the detect-then-correct route.
-	ServeDetection = serve.Detection
 	// ServeChaos injects controlled faults into a Server: delayed
 	// batches, killed workers, failed batches.
 	ServeChaos = serve.Chaos
-	// LaneStats is one admission lane's snapshot (depth, limit, sheds).
-	LaneStats = serve.LaneStats
-	// CacheStats is the content-addressed result cache's snapshot.
-	CacheStats = serve.CacheStats
 	// HTTPTimeouts bounds the lifecycle phases of served HTTP
 	// connections (slow-loris hardening).
 	HTTPTimeouts = serve.HTTPTimeouts
@@ -226,9 +174,6 @@ type (
 	RegistryModel = registry.Model
 	// RegistrySaveOptions annotates a Registry.Save call.
 	RegistrySaveOptions = registry.SaveOptions
-	// ModelManifest records one stored version: name, version,
-	// architecture, weight hash, parent version and provenance note.
-	ModelManifest = registry.Manifest
 	// ModelRef names one registry version (Name + Version; empty Version
 	// means "latest").
 	ModelRef = registry.Ref
@@ -236,19 +181,12 @@ type (
 	// (family "vgg" or "tinycnn" plus geometry), so a manifest alone can
 	// reconstruct the network its weights belong to.
 	ArchSpec = registry.ArchSpec
-	// ModelID is the identity a served pipeline carries: name, version
-	// and weight hash (pipeline layer; zero value = anonymous model).
-	ModelID = pipeline.ModelID
-	// ModelStatus is one serving-table entry's snapshot (/v1/models).
-	ModelStatus = serve.ModelStatus
 	// Front is the multi-replica front door: a consistent-hash router
 	// with health-driven ejection and bounded retries.
 	Front = front.Front
 	// FrontOptions configures a Front (backends, probing, retries,
 	// hedging).
 	FrontOptions = front.Options
-	// ReplicaHealth is one routed replica's health snapshot.
-	ReplicaHealth = front.ReplicaHealth
 )
 
 // Threat models of the paper's Fig. 2.
@@ -300,56 +238,12 @@ func NewGaussian(sigma float64) Filter { return filters.NewGaussian(sigma) }
 // NewMedian builds a median filter with BPDA backward pass (extension).
 func NewMedian(radius int) Filter { return filters.NewMedian(radius) }
 
-// NewBox builds a square box-average filter (extension, for footprint
-// ablations against LAR's disk).
-func NewBox(radius int) Filter { return filters.NewBox(radius) }
-
-// NewBilateral builds an edge-preserving bilateral filter (extension).
-func NewBilateral(radius int, sigmaSpace, sigmaColor float64) Filter {
-	return filters.NewBilateral(radius, sigmaSpace, sigmaColor)
-}
-
 // NewGrayscale builds the gray-scaling pre-processing stage the paper's
 // Section I-C lists (luminance replicated over three channels).
 func NewGrayscale() Filter { return filters.Grayscale{} }
 
 // NewNormalize builds the per-image standardization stage.
 func NewNormalize(mean, std float64) Filter { return filters.NewNormalize(mean, std) }
-
-// NewHistEq builds the histogram-equalization stage (BPDA backward pass).
-func NewHistEq(bins int) Filter { return filters.NewHistEq(bins) }
-
-// NewJPEG builds the JPEG-like DCT-quantization defense (quality 1..100).
-func NewJPEG(quality int) Filter { return filters.NewJPEG(quality) }
-
-// NewBitDepth builds the bit-depth squeezing defense (bits 1..16).
-func NewBitDepth(bits int) Filter { return filters.NewBitDepth(bits) }
-
-// NewTVDenoise builds the total-variation denoising defense with an
-// exact unrolled VJP.
-func NewTVDenoise(lambda float64, iters int) Filter { return filters.NewTVDenoise(lambda, iters) }
-
-// NewNLM builds the non-local means denoising defense with an exact VJP.
-func NewNLM(h float64, patch, window int) Filter { return filters.NewNLM(h, patch, window) }
-
-// NewRandJPEG builds the SHIELD-style randomized JPEG defense: each 8×8
-// block is compressed at a quality drawn uniformly from [qmin, qmax].
-func NewRandJPEG(qmin, qmax int, seed uint64) Filter { return filters.NewRandJPEG(qmin, qmax, seed) }
-
-// NewRandResize builds the random resize-and-pad defense with scale
-// bounds lo..hi (fractions of the input size in (0, 1]).
-func NewRandResize(lo, hi float64, seed uint64) Filter { return filters.NewRandResize(lo, hi, seed) }
-
-// NewRandFlip builds the random horizontal-flip defense with flip
-// probability p.
-func NewRandFlip(p float64, seed uint64) Filter { return filters.NewRandFlip(p, seed) }
-
-// NewRandNoise builds the additive-Gaussian randomization defense.
-func NewRandNoise(sigma float64, seed uint64) Filter { return filters.NewRandNoise(sigma, seed) }
-
-// ReseedFilter returns f with every stochastic stage re-seeded from
-// seed (deterministic filters are returned unchanged).
-func ReseedFilter(f Filter, seed uint64) Filter { return filters.Reseed(f, seed) }
 
 // IsStochasticFilter reports whether f (or any stage of a chain)
 // carries seeded randomness.
@@ -392,20 +286,11 @@ func SplitAttackSpecs(list string) []string { return attacks.SplitSpecs(list) }
 // ParseAdaptive(m.Name()) round-trips.
 func ParseAdaptive(spec string) (AdaptiveMode, error) { return attacks.ParseAdaptive(spec) }
 
-// AdaptiveModeNames returns the accepted adaptive-mode kinds in
-// weakest-to-strongest order.
-func AdaptiveModeNames() []string { return attacks.AdaptiveModes() }
-
 // WithBudget attaches an attack work budget to a context: any Generate
 // or Execute under it truncates at iteration granularity once the budget
 // is spent, returning the best-so-far result flagged Truncated.
 func WithBudget(ctx context.Context, b Budget) context.Context {
 	return attacks.WithBudget(ctx, b)
-}
-
-// WithObserver attaches a per-iteration progress observer to a context.
-func WithObserver(ctx context.Context, o Observer) context.Context {
-	return attacks.WithObserver(ctx, o)
 }
 
 // NewFGSM builds a fast-gradient-sign attack with an explicit L∞ budget.
@@ -491,14 +376,6 @@ func ParseDetector(spec string) (*Detector, error) { return detect.Parse(spec) }
 // Server.CalibrateDetector for a target clean false-positive rate).
 func DefaultDetector() *Detector { return detect.Default() }
 
-// DetectionROC sweeps the detector threshold over clean and adversarial
-// score samples and returns the operating curve from (0,0) to (1,1).
-func DetectionROC(clean, adv []float64) []ROCPoint { return detect.ROC(clean, adv) }
-
-// DetectionAUC is the threshold-free area under the detection ROC —
-// the rank statistic P(adversarial score > clean score). 0.5 is chance.
-func DetectionAUC(clean, adv []float64) float64 { return detect.AUC(clean, adv) }
-
 // Serving.
 
 // NewServer starts a micro-batching inference service over the deployed
@@ -507,14 +384,6 @@ func DetectionAUC(clean, adv []float64) float64 { return detect.AUC(clean, adv) 
 // to a direct Pipeline.Probs call. Serve HTTP with srv.Handler() (see
 // cmd/fademl-serve) or call Predict/Do in-process; stop with Close.
 func NewServer(p *Pipeline, opts ServeOptions) *Server { return serve.New(p, opts) }
-
-// Serving survivability errors, matchable with errors.Is: an admission
-// lane shed the request (429 on the wire) or the server is draining
-// ahead of shutdown (503).
-var (
-	ErrServeOverloaded = serve.ErrOverloaded
-	ErrServeDraining   = serve.ErrDraining
-)
 
 // Model registry.
 //
@@ -552,13 +421,10 @@ func NewFront(opts FrontOptions) (*Front, error) { return front.New(opts) }
 // NewHTTPServer builds an http.Server hardened against slow clients:
 // every connection phase — header read, body read, response write,
 // keep-alive idle — is bounded (see HTTPTimeouts; the zero value
-// selects DefaultHTTPTimeouts).
+// selects the hardened serving defaults).
 func NewHTTPServer(addr string, h http.Handler, t HTTPTimeouts) *http.Server {
 	return serve.NewHTTPServer(addr, h, t)
 }
-
-// DefaultHTTPTimeouts is the hardened serving default for NewHTTPServer.
-func DefaultHTTPTimeouts() HTTPTimeouts { return serve.DefaultHTTPTimeouts() }
 
 // Execute crafts an adversarial example for the scenario source→target and
 // measures it against the deployed pipeline under the run's threat model.

@@ -3,8 +3,8 @@
 // accuracy under attack, no filter), Fig. 7 (classical attacks neutralized
 // by LAP/LAR under TM II/III), and Fig. 9 (FAdeML attacks surviving the
 // same filters). Each figure has a typed runner returning structured
-// results plus a text-table renderer, wired to a bench target in the
-// repository root and to cmd/fademl-bench.
+// results plus a text-table renderer, wired to cmd/fademl-bench; the
+// headline rates of Figs. 7 and 9 are pinned by TestPaperHeadline.
 package experiments
 
 import (

@@ -661,7 +661,7 @@ func (s *Server) caseImage(m *servedModel, img *tensor.Tensor, source int) (*ten
 			return nil, fmt.Errorf("serve: no canonical image for class %d", source)
 		}
 	}
-	if err := s.validate(m, img, pipeline.TM1, pipeline.Float64); err != nil {
+	if err := s.validate(m, img, pipeline.TM1, pipeline.Float64, true); err != nil {
 		return nil, err
 	}
 	return img, nil

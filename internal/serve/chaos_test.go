@@ -61,7 +61,7 @@ func TestChaosWorkerKillRequeues(t *testing.T) {
 }
 
 // TestChaosBatchFailure: an injected batch panic must surface as a
-// per-request inference error and leave the server healthy.
+// per-request inference error, leave the server healthy, and be counted.
 func TestChaosBatchFailure(t *testing.T) {
 	chaos := &Chaos{}
 	s := New(servePipeline(t), Options{
@@ -78,6 +78,11 @@ func TestChaosBatchFailure(t *testing.T) {
 	}
 	if _, err := s.Predict(context.Background(), imgs[1], pipeline.TM1); err != nil {
 		t.Fatalf("server unhealthy after injected batch failure: %v", err)
+	}
+	var metrics strings.Builder
+	s.WritePrometheus(&metrics)
+	if want := "fademl_inference_panics_total 1\n"; !strings.Contains(metrics.String(), want) {
+		t.Fatalf("/metrics does not count the recovered panic: missing %q", want)
 	}
 }
 

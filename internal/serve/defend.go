@@ -58,7 +58,7 @@ func (s *Server) Defend(ctx context.Context, req DefendRequest) (*DefendResult, 
 		return nil, err
 	}
 	defer m.release()
-	if err := s.validate(m, req.Image, pipeline.TM1, pipeline.Float64); err != nil {
+	if err := s.validate(m, req.Image, pipeline.TM1, pipeline.Float64, true); err != nil {
 		return nil, err
 	}
 	f := s.filter

@@ -169,7 +169,7 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 		return nil, err
 	}
 	defer m.release()
-	if err := s.validate(m, req.Image, tm, pipeline.Float64); err != nil {
+	if err := s.validate(m, req.Image, tm, pipeline.Float64, true); err != nil {
 		return nil, err
 	}
 	det := s.opts.Detector

@@ -36,7 +36,8 @@ func detectServer(t testing.TB, thr float64) *Server {
 // contract: when the detector does not flag an input, the response must
 // be bit-identical to a server running without any detector — the raw
 // forward the worker already computed IS the answer. Run under -race
-// this also exercises the worker-side detection step concurrently.
+// this also exercises the worker-side detection step concurrently. The
+// lane must also be cheap: detect-path p50 ≤ 2× plain p50.
 func TestDetectCleanPassBitIdentity(t *testing.T) {
 	plain := New(servePipeline(t), Options{Workers: 2, MaxBatch: 8, MaxWait: time.Millisecond})
 	defer plain.Close()
@@ -98,6 +99,34 @@ func TestDetectCleanPassBitIdentity(t *testing.T) {
 		if got[i].Class != want[i].Class {
 			t.Fatalf("image %d: class %d vs %d", i, got[i].Class, want[i].Class)
 		}
+	}
+
+	// The clean-pass lane's price: one serial client on never-repeated
+	// images (every request misses the cache and pays its full route)
+	// must see a detect-path p50 within 2× the plain server's. Skipped
+	// under -short, where the race detector distorts timing.
+	if testing.Short() {
+		return
+	}
+	p50 := func(s *Server) time.Duration {
+		probe := imgs[0].Clone()
+		ds := make([]time.Duration, 0, 60)
+		for i := 0; i < 65; i++ {
+			probe.Data()[0] = float64(i) / 65
+			start := time.Now()
+			if _, err := s.Predict(context.Background(), probe, pipeline.TM2); err != nil {
+				t.Fatal(err)
+			}
+			if i >= 5 { // first five are warm-up
+				ds = append(ds, time.Since(start))
+			}
+		}
+		return percentile(ds, 0.5)
+	}
+	plainP50, detectP50 := p50(plain), p50(detecting)
+	t.Logf("predict p50: plain %v, detect-then-correct %v", plainP50, detectP50)
+	if detectP50 > 2*plainP50 {
+		t.Fatalf("detect-then-correct p50 %v exceeds 2× plain p50 %v", detectP50, plainP50)
 	}
 }
 

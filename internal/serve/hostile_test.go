@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/attacks"
+	"repro/internal/gtsrb"
+	"repro/internal/tensor"
 )
 
 // TestHostileSpecs feeds every spec-taking route the inputs that used to
@@ -92,5 +96,71 @@ func TestHostileSpecs(t *testing.T) {
 		if hw.Code != http.StatusOK {
 			t.Fatalf("%s: healthz after the request = %d", c.name, hw.Code)
 		}
+	}
+}
+
+// TestHostilePixels is the same contract for the image itself: a pixel
+// that is not a finite value in [0, 1] is refused at every door an image
+// enters by — 400 bad_request on the wire, an error from the Go API
+// (where NaN and Inf, which JSON cannot carry, are reachable too). The
+// server's own measurement views are exempt: a deployed normalize stage
+// leaves [0, 1] by design and must keep predicting.
+func TestHostilePixels(t *testing.T) {
+	s := attackServer(t, attacks.Budget{MaxQueries: 50})
+	defer s.Close()
+	h := s.Handler()
+
+	withPixel := func(v float64, fields map[string]any) string {
+		img := gtsrb.Canonical(2, 16)
+		img.Data()[5] = v
+		fields["pixels"], fields["shape"] = img.Data(), img.Shape()
+		data, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, v := range []float64{1e308, -5} {
+		evalCase := withPixel(v, map[string]any{"source": 2, "target": 1})
+		for path, body := range map[string]string{
+			"/v1/predict":       withPixel(v, map[string]any{}),
+			"/v1/predict_batch": `{"images":[` + withPixel(v, map[string]any{}) + `]}`,
+			"/v1/defend":        withPixel(v, map[string]any{"filter": "median(r=1)"}),
+			"/v1/detect":        withPixel(v, map[string]any{"detector": "detect"}),
+			"/v1/attack":        withPixel(v, map[string]any{"attack": "fgsm(eps=0.05)", "source": 2, "target": 1}),
+			"/v1/evaluate":      `{"attacks":["fgsm(eps=0.05)"],"cases":[` + evalCase + `]}`,
+		} {
+			w := doJSON(h, http.MethodPost, path, body)
+			var reply struct{ Code, Error string }
+			json.Unmarshal(w.Body.Bytes(), &reply)
+			if w.Code != http.StatusBadRequest || reply.Code != "bad_request" || !strings.Contains(reply.Error, "pixel 5") {
+				t.Errorf("%s with pixel %v: status %d, want 400 bad_request naming pixel 5: %.300s", path, v, w.Code, w.Body.String())
+			}
+		}
+	}
+
+	ctx := context.Background()
+	for _, v := range []float64{math.NaN(), math.Inf(1), 1.0000001} {
+		img := gtsrb.Canonical(2, 16)
+		img.Data()[5] = v
+		_, errDo := s.Do(ctx, Request{Images: []*tensor.Tensor{img}})
+		_, errDefend := s.Defend(ctx, DefendRequest{Image: img, Spec: "median(r=1)"})
+		_, errDetect := s.Detect(ctx, DetectRequest{Image: img, Spec: "detect"})
+		_, errAttack := s.Attack(ctx, AttackRequest{Spec: "fgsm(eps=0.05)", Image: img, Source: 2, Target: 1})
+		_, errEval := s.Evaluate(ctx, EvaluateRequest{Specs: []string{"fgsm(eps=0.05)"}, Cases: []EvalCase{{Image: img, Source: 2, Target: 1}}})
+		for name, err := range map[string]error{"Do": errDo, "Defend": errDefend, "Detect": errDetect, "Attack": errAttack, "Evaluate": errEval} {
+			if err == nil || !strings.Contains(err.Error(), "pixel 5") {
+				t.Errorf("%s with pixel %v: err = %v, want a rejection naming pixel 5", name, v, err)
+			}
+		}
+	}
+
+	// In-range input whose filtered view leaves [0, 1] is served.
+	res, err := s.Defend(ctx, DefendRequest{Image: gtsrb.Canonical(2, 16), Spec: "normalize(mean=0,std=1)", Predict: true})
+	if err != nil || res.Prediction == nil {
+		t.Fatalf("defend+predict through normalize: %v", err)
+	}
+	if lo, hi := res.Filtered.Min(), res.Filtered.Max(); lo >= 0 && hi <= 1 {
+		t.Fatalf("normalize output stayed in [%v, %v]; the exemption is not exercised", lo, hi)
 	}
 }

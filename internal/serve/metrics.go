@@ -95,10 +95,12 @@ func (h *scoreHistogram) observe(v float64) {
 	h.sumMicros.Add(int64(v * 1e6))
 }
 
-// serverMetrics holds the per-route instruments plus the detector
-// verdict counters and score histogram.
+// serverMetrics holds the per-route instruments, the recovered-panic
+// counter, and the detector verdict counters and score histogram.
 type serverMetrics struct {
 	routes []*routeMetrics
+
+	inferencePanics atomic.Uint64
 
 	detectClean     atomic.Uint64
 	detectFlagged   atomic.Uint64
@@ -188,6 +190,9 @@ func (s *Server) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "fademl_batches_total %d\n", s.batchCount.Load())
 	writeCounterHeader(w, "fademl_batched_images_total", "Images processed across all micro-batches.")
 	fmt.Fprintf(w, "fademl_batched_images_total %d\n", s.batchedImages.Load())
+
+	writeCounterHeader(w, "fademl_inference_panics_total", "Micro-batches whose worker panicked; every slot was answered with an error.")
+	fmt.Fprintf(w, "fademl_inference_panics_total %d\n", s.metrics.inferencePanics.Load())
 
 	writeGaugeHeader(w, "fademl_lane_depth", "Admitted-but-unfinished requests per priority lane.")
 	writeGaugeHeader(w, "fademl_lane_limit", "Admission bound per lane (0 = unbounded).")

@@ -85,6 +85,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fademl_http_shed_total{route="predict"} 1`,
 		`fademl_http_request_duration_seconds_bucket{route="predict",le="+Inf"} 4`,
 		`fademl_http_request_duration_seconds_count{route="predict"} 4`,
+		"fademl_inference_panics_total 0",
 		"fademl_draining 0",
 		"fademl_up 1",
 	} {

@@ -145,7 +145,8 @@ func TestCacheAcrossVersions(t *testing.T) {
 // The contract: zero failed requests, and every response bit-identical to
 // the direct reference of the version it claims to be — which also
 // proves no stale-version cache hit, since a wrong-version answer could
-// not match its labeled version's bits.
+// not match its labeled version's bits. Swapping must also not cost
+// latency: compute-path p99 during the flips stays within 2× steady.
 func TestHotSwapUnderLoad(t *testing.T) {
 	reg, v1 := testStore(t)
 	s := NewFromModel(v1, filters.NewLAP(8), pipeline.DefaultAcquisition(11),
@@ -158,7 +159,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	const clients = 4
 	stop := make(chan struct{})
 	var served [2]atomic.Uint64 // index 0: v1, 1: v2
-	errs := make(chan error, clients)
+	errs := make(chan error, clients+1)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		c := c
@@ -197,6 +198,41 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		}()
 	}
 
+	// Latency probe: one more client sends never-repeated images, so each
+	// request misses the cache and pays the full queue + forward path. Its
+	// p99 while the default flips must stay within 2× its p99 over the
+	// steady window before the first swap. Skipped under -short, where
+	// the race detector distorts timing.
+	var swapping atomic.Bool
+	var steady, during []time.Duration
+	if !testing.Short() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			probe := imgs[0].Clone()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				probe.Data()[0] = float64(i%(1<<20)) / (1 << 20)
+				inSwap, start := swapping.Load(), time.Now()
+				if _, err := s.Predict(context.Background(), probe, pipeline.TM1); err != nil {
+					errs <- fmt.Errorf("latency probe: %w", err)
+					return
+				}
+				if d := time.Since(start); inSwap {
+					during = append(during, d)
+				} else {
+					steady = append(steady, d)
+				}
+			}
+		}()
+		time.Sleep(300 * time.Millisecond)
+		swapping.Store(true)
+	}
+
 	// Flip the default several times under load; keep=false retires and
 	// fully drains the outgoing version each time.
 	for swap := 0; swap < 6; swap++ {
@@ -220,6 +256,19 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 	if got := s.Stats().Swaps; got != 6 {
 		t.Fatalf("Stats().Swaps = %d, want 6", got)
+	}
+	if !testing.Short() {
+		steadyP99, swapP99 := percentile(steady, 0.99), percentile(during, 0.99)
+		bound := 2 * steadyP99
+		if floor := 100 * time.Millisecond; bound < floor { // the p99 of ~50 samples is their max; a busy host moves it 2×
+
+			bound = floor
+		}
+		t.Logf("probe p99: steady %v over %d requests, swapping %v over %d (bound %v)",
+			steadyP99, len(steady), swapP99, len(during), bound)
+		if swapP99 > bound {
+			t.Fatalf("predict p99 while swapping %v exceeds bound %v (steady %v)", swapP99, bound, steadyP99)
+		}
 	}
 }
 

@@ -539,7 +539,7 @@ func (s *Server) predict(ctx context.Context, m *servedModel, req Request, exter
 		prec, detSpec = req.Precision, s.detSpec
 	}
 	for _, img := range req.Images {
-		if err := s.validate(m, img, tm, prec); err != nil {
+		if err := s.validate(m, img, tm, prec, external); err != nil {
 			return nil, err
 		}
 	}
@@ -614,8 +614,11 @@ func (s *Server) predict(ctx context.Context, m *servedModel, req Request, exter
 
 // validate rejects malformed input at the API boundary so shape panics
 // never reach a worker goroutine. Shape and float32 availability are
-// properties of the selected model.
-func (s *Server) validate(m *servedModel, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision) error {
+// properties of the selected model. external marks an image that came
+// from a client: its pixels must be finite and in [0, 1]. The server's
+// own measurement views skip that check — filter outputs such as
+// normalize legitimately leave the unit range.
+func (s *Server) validate(m *servedModel, img *tensor.Tensor, tm pipeline.ThreatModel, prec pipeline.Precision, external bool) error {
 	if !tm.Valid() {
 		return fmt.Errorf("serve: invalid threat model %d", int(tm))
 	}
@@ -630,6 +633,13 @@ func (s *Server) validate(m *servedModel, img *tensor.Tensor, tm pipeline.Threat
 	}
 	if got := img.Shape(); !slices.Equal(got, m.inShape) {
 		return fmt.Errorf("serve: image shape %v, model %s wants %v", got, m.key, m.inShape)
+	}
+	if external {
+		for i, v := range img.Data() {
+			if !(v >= 0 && v <= 1) { // also catches NaN
+				return fmt.Errorf("serve: pixel %d is %v, want a finite value in [0, 1]", i, v)
+			}
+		}
 	}
 	return nil
 }
@@ -685,6 +695,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) process(m *servedModel, wp *pipeline.Pipeline, w32 *nn.Net32, batch []*pending) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.metrics.inferencePanics.Add(1)
 			err := fmt.Errorf("serve: inference failed: %v", r)
 			for _, p := range batch {
 				p.answer(reply{err: err})

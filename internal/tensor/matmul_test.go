@@ -330,8 +330,8 @@ func TestMatMulAccumTransAMatchesComposition(t *testing.T) {
 	}
 }
 
-// BenchmarkGEMM128 measures the packed core on the 128³ shape reported in
-// PERFORMANCE.md (same shape as the top-level BenchmarkMatMul).
+// BenchmarkGEMM128 measures the packed core on the 128³ shape of the
+// bench/ ladder's tensor.matmul_f64_us rung.
 func BenchmarkGEMM128(b *testing.B) {
 	r := mathx.NewRNG(2)
 	x := RandN(r, 128, 128)
