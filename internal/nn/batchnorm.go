@@ -26,6 +26,7 @@ type BatchNorm2D struct {
 	xHat    *tensor.Tensor
 	invStd  []float64
 	n, h, w int
+	train   bool // last Forward's mode: selects Backward's formula
 }
 
 // NewBatchNorm2D constructs a batch-normalization layer over c channels.
@@ -93,7 +94,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: Forward input shape %v, want [N %d H W]", b.name, x.Shape(), b.C))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	b.n, b.h, b.w = n, h, w
+	b.n, b.h, b.w, b.train = n, h, w, train
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.Gamma.Value.Data(), b.Beta.Value.Data()
@@ -149,9 +150,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer. It uses the standard batch-norm gradient with
-// batch statistics (training-mode backward; inference mode is affine so its
-// gradient is a simple scale).
+// Backward implements Layer. After a training-mode Forward it is the
+// standard batch-norm gradient through the batch statistics. After an
+// eval-mode Forward the layer was the affine map γ·(x−μ_run)·invStd + β,
+// so dx = γ·invStd·dy and, as for every layer, no parameter gradient is
+// written.
 func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if b.xHat == nil {
 		panic("nn: BatchNorm2D.Backward before Forward")
@@ -165,6 +168,16 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dgd, dbd := b.Gamma.Grad.Data(), b.Beta.Grad.Data()
 
 	for c := 0; c < b.C; c++ {
+		scale := gd[c] * b.invStd[c]
+		if !b.train {
+			for s := 0; s < n; s++ {
+				base := (s*b.C + c) * plane
+				for i := 0; i < plane; i++ {
+					dxd[base+i] = scale * dd[base+i]
+				}
+			}
+			continue
+		}
 		var sumDy, sumDyXh float64
 		for s := 0; s < n; s++ {
 			base := (s*b.C + c) * plane
@@ -176,13 +189,11 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 		dgd[c] += sumDyXh
 		dbd[c] += sumDy
-		g := gd[c]
-		inv := b.invStd[c]
 		for s := 0; s < n; s++ {
 			base := (s*b.C + c) * plane
 			for i := 0; i < plane; i++ {
 				dy := dd[base+i]
-				dxd[base+i] = g * inv * (dy - sumDy/count - xh[base+i]*sumDyXh/count)
+				dxd[base+i] = scale * (dy - sumDy/count - xh[base+i]*sumDyXh/count)
 			}
 		}
 	}

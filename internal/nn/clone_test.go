@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -137,6 +138,98 @@ func TestScratchReuseKeepsRepeatedCallsIdentical(t *testing.T) {
 		if d1[i] != d2[i] {
 			t.Fatalf("repeated grad[%d] differs: %v vs %v", i, d1[i], d2[i])
 		}
+	}
+}
+
+// gradQueryNets are the dropout-free networks the gradient-query tests run
+// on: the unit-test CNN and the tiny profile's VGG (filter widths ÷ 12).
+func gradQueryNets(t *testing.T) map[string]*Network {
+	t.Helper()
+	cnn, err := TinyCNN(3, 16, 10, mathx.NewRNG(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vgg, err := VGGNet(ScaledVGGConfig(3, 32, 43, 12), mathx.NewRNG(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Network{"tinycnn": cnn, "vgg-tiny": vgg}
+}
+
+func sameBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	gd, wd := got.Data(), want.Data()
+	if len(gd) != len(wd) {
+		t.Fatalf("%s: %d elements, want %d", what, len(gd), len(wd))
+	}
+	for i := range wd {
+		if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
+			t.Fatalf("%s [%d] = %v, want %v", what, i, gd[i], wd[i])
+		}
+	}
+}
+
+// TestEvalBackwardIsInputGradOnly pins the rule a gradient query runs
+// under: a Backward after an eval-mode Forward issues no work into any
+// Param.Grad, and the input gradient it returns has the bits of the
+// training-mode pass that does — on the original and on a clone.
+func TestEvalBackwardIsInputGradOnly(t *testing.T) {
+	for name, net := range gradQueryNets(t) {
+		shape := net.InputShape()
+		img := testImages(1, shape[0], shape[1], 23)[0]
+		const label = 3
+		loss := CrossEntropy{}
+
+		// Reference: the training-mode pass (no dropout, no batch norm, so
+		// it computes the same function) through the full backward.
+		logits := net.Forward(img.Reshape(append([]int{1}, shape...)...), true)
+		wantLoss, dlogits := loss.Eval(logits, []int{label})
+		want := net.Backward(dlogits).Reshape(shape...)
+		dirty := false
+		for _, p := range net.Params() {
+			dirty = dirty || p.Grad.L1Norm() > 0
+		}
+		if !dirty {
+			t.Fatalf("%s: the training-mode backward accumulated no parameter gradient", name)
+		}
+
+		clone := net.Clone()
+		for who, n := range map[string]*Network{"original": net, "clone": clone} {
+			n.ZeroGrads()
+			gotLoss, got := n.LossAndInputGrad(img, label, loss)
+			if gotLoss != wantLoss {
+				t.Fatalf("%s %s: loss %v, want %v", name, who, gotLoss, wantLoss)
+			}
+			sameBits(t, name+" "+who+" LossAndInputGrad dx", got, want)
+			_, got = n.LogitsAndInputGradFrom(img, func([]float64) []float64 {
+				return append([]float64(nil), dlogits.Data()...)
+			})
+			sameBits(t, name+" "+who+" LogitsAndInputGradFrom dx", got, want)
+			for _, p := range n.Params() {
+				if l1 := p.Grad.L1Norm(); l1 != 0 {
+					t.Fatalf("%s %s: gradient query wrote %s (L1 %g)", name, who, p.Name, l1)
+				}
+			}
+		}
+	}
+}
+
+// TestGradientQueryAllocBudget is the deterministic half of the gradient
+// query's cost gate (CI's ladder ratio is the timed half). One
+// LossAndInputGrad on the tiny VGG made 465 allocations while every conv
+// took three tensor views per image and ran the dW/db pass; it makes 285
+// now. The budget is that count + 10 %; under -race the GEMM's sync.Pool
+// drops buffers at random and the count reads 295–299, still inside it.
+func TestGradientQueryAllocBudget(t *testing.T) {
+	net := gradQueryNets(t)["vgg-tiny"]
+	img := testImages(1, 3, 32, 24)[0]
+	loss := CrossEntropy{}
+	net.LossAndInputGrad(img, 3, loss) // grow the scratch buffers
+	got := testing.AllocsPerRun(20, func() { net.LossAndInputGrad(img, 3, loss) })
+	const budget = 285 * 1.1
+	t.Logf("LossAndInputGrad on the tiny VGG: %.0f allocations", got)
+	if got > budget {
+		t.Fatalf("LossAndInputGrad on the tiny VGG made %.0f allocations, budget %.0f", got, budget)
 	}
 }
 

@@ -18,6 +18,7 @@ type Conv2D struct {
 	K, Stride, Pad              int
 	W, B                        *Param
 	inH, inW, outH, outW, batch int
+	train                       bool // last Forward's mode: Backward skips dW/db after eval
 
 	// Per-call scratch owned by this instance and reused across calls so
 	// the attack loops don't re-allocate the im2col matrix thousands of
@@ -87,7 +88,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: Forward input shape %v, want [N %d H W]", c.name, x.Shape(), c.InC))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.batch, c.inH, c.inW = n, h, w
+	c.batch, c.inH, c.inW, c.train = n, h, w, train
 	c.outH = (h+2*c.Pad-c.K)/c.Stride + 1
 	c.outW = (w+2*c.Pad-c.K)/c.Stride + 1
 	if c.outH <= 0 || c.outW <= 0 {
@@ -95,18 +96,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	patch := c.InC * c.K * c.K
 	spatial := c.outH * c.outW
-	cols := scratch(&c.colsBuf, n, patch, spatial)
-	for s := 0; s < n; s++ {
-		im2col(x.Image(s), cols.SubBatch(s, s+1).Reshape(patch, spatial), c.K, c.Stride, c.Pad)
-	}
-	c.cols = cols
+	chw := c.InC * h * w
+	c.cols = scratch(&c.colsBuf, n, patch, spatial)
+	xd, cd := x.Data(), c.cols.Data()
 
 	out := tensor.New(n, c.OutC, c.outH, c.outW)
 	bd := c.B.Value.Data()
 	y := scratch(&c.yBuf, c.OutC, spatial)
 	for s := 0; s < n; s++ {
-		colMat := cols.SubBatch(s, s+1).Reshape(patch, spatial)
-		tensor.MatMulInto(y, c.W.Value, colMat) // [OutC, spatial]
+		col := cd[s*patch*spatial : (s+1)*patch*spatial]
+		im2col(xd[s*chw:(s+1)*chw], c.InC, h, w, col, c.K, c.Stride, c.Pad)
+		tensor.MatMulInto(y, c.W.Value, tensor.FromSlice(col, patch, spatial)) // [OutC, spatial]
 		dst := out.Data()[s*c.OutC*spatial : (s+1)*c.OutC*spatial]
 		yd := y.Data()
 		for f := 0; f < c.OutC; f++ {
@@ -121,7 +121,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. After an eval-mode Forward it returns the
+// input gradient only: dW and db are what a trainer needs, and an attack's
+// gradient query would pay a GEMM per image per layer for them.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward before Forward")
@@ -129,41 +131,45 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := c.batch
 	patch := c.InC * c.K * c.K
 	spatial := c.outH * c.outW
+	chw := c.InC * c.inH * c.inW
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
+	dxd, cd := dx.Data(), c.cols.Data()
 	dbd := c.B.Grad.Data()
 	dcols := scratch(&c.dcolsBuf, patch, spatial)
 	for s := 0; s < n; s++ {
 		doutMat := tensor.FromSlice(
 			dout.Data()[s*c.OutC*spatial:(s+1)*c.OutC*spatial], c.OutC, spatial)
-		colMat := c.cols.SubBatch(s, s+1).Reshape(patch, spatial)
-		// dW[f,p] += Σ_i dout[f,i]·cols[p,i], fused — no materialized
-		// transpose of the im2col matrix.
-		tensor.MatMulAccumTransB(c.W.Grad, doutMat, colMat)
-		// db[f] += Σ_i dout[f,i]
-		dd := doutMat.Data()
-		for f := 0; f < c.OutC; f++ {
-			s := 0.0
-			for _, v := range dd[f*spatial : (f+1)*spatial] {
-				s += v
+		if c.train {
+			colMat := tensor.FromSlice(cd[s*patch*spatial:(s+1)*patch*spatial], patch, spatial)
+			// dW[f,p] += Σ_i dout[f,i]·cols[p,i], fused — no materialized
+			// transpose of the im2col matrix.
+			tensor.MatMulAccumTransB(c.W.Grad, doutMat, colMat)
+			// db[f] += Σ_i dout[f,i]
+			dd := doutMat.Data()
+			for f := 0; f < c.OutC; f++ {
+				s := 0.0
+				for _, v := range dd[f*spatial : (f+1)*spatial] {
+					s += v
+				}
+				dbd[f] += s
 			}
-			dbd[f] += s
 		}
 		// dcols = Wᵀ·dout, then scatter back to image layout.
 		tensor.MatMulTransAInto(dcols, c.W.Value, doutMat) // [patch, spatial]
-		col2im(dcols, dx.Image(s), c.K, c.Stride, c.Pad)
+		col2im(dcols.Data(), dxd[s*chw:(s+1)*chw], c.InC, c.inH, c.inW, c.K, c.Stride, c.Pad)
 	}
 	return dx
 }
 
-// im2col lowers a CHW image into a [C·K·K, outH·outW] matrix where column i
-// holds the receptive field of output position i. Out-of-bounds (padding)
-// positions contribute zeros.
-func im2col(img, cols *tensor.Tensor, k, stride, pad int) {
-	ch, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+// im2col lowers a CHW image (raw storage id) into the [ch·k·k, outH·outW]
+// matrix cd where column i holds the receptive field of output position i.
+// Out-of-bounds (padding) positions contribute zeros. It serves both
+// precision lanes. At stride 1 a (channel, ky, kx, oy) row of the matrix is
+// a contiguous run of the image row clipped to [lo, hi), so it moves as one
+// copy; other strides test bounds per element.
+func im2col[T float32 | float64](id []T, ch, h, w int, cd []T, k, stride, pad int) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
-	id := img.Data()
-	cd := cols.Data()
 	spatial := outH * outW
 	row := 0
 	for cc := 0; cc < ch; cc++ {
@@ -172,25 +178,31 @@ func im2col(img, cols *tensor.Tensor, k, stride, pad int) {
 			for kx := 0; kx < k; kx++ {
 				dst := cd[row*spatial : (row+1)*spatial]
 				row++
-				i := 0
+				lo, hi := clipRun(outW, w, kx-pad)
+				if stride == 1 && lo == hi {
+					clear(dst)
+					continue
+				}
 				for oy := 0; oy < outH; oy++ {
+					out := dst[oy*outW : (oy+1)*outW]
 					sy := oy*stride + ky - pad
 					if sy < 0 || sy >= h {
-						for ox := 0; ox < outW; ox++ {
-							dst[i] = 0
-							i++
-						}
+						clear(out)
 						continue
 					}
-					rowBase := base + sy*w
-					for ox := 0; ox < outW; ox++ {
-						sx := ox*stride + kx - pad
-						if sx < 0 || sx >= w {
-							dst[i] = 0
+					src := id[base+sy*w : base+(sy+1)*w]
+					if stride == 1 {
+						clear(out[:lo])
+						copy(out[lo:hi], src[lo+kx-pad:])
+						clear(out[hi:])
+						continue
+					}
+					for ox := range out {
+						if sx := ox*stride + kx - pad; sx < 0 || sx >= w {
+							out[ox] = 0
 						} else {
-							dst[i] = id[rowBase+sx]
+							out[ox] = src[sx]
 						}
-						i++
 					}
 				}
 			}
@@ -198,15 +210,13 @@ func im2col(img, cols *tensor.Tensor, k, stride, pad int) {
 	}
 }
 
-// col2im scatters a [C·K·K, outH·outW] gradient matrix back into CHW image
+// col2im scatters a [ch·k·k, outH·outW] gradient matrix back into CHW image
 // layout, accumulating where receptive fields overlap. It is the exact
-// adjoint of im2col.
-func col2im(cols, img *tensor.Tensor, k, stride, pad int) {
-	ch, h, w := img.Dim(0), img.Dim(1), img.Dim(2)
+// adjoint of im2col and visits (row, oy, ox) in the same order at every
+// stride, so each image element sees one fixed accumulation order.
+func col2im(cd, id []float64, ch, h, w, k, stride, pad int) {
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
-	id := img.Data()
-	cd := cols.Data()
 	spatial := outH * outW
 	row := 0
 	for cc := 0; cc < ch; cc++ {
@@ -215,23 +225,42 @@ func col2im(cols, img *tensor.Tensor, k, stride, pad int) {
 			for kx := 0; kx < k; kx++ {
 				src := cd[row*spatial : (row+1)*spatial]
 				row++
-				i := 0
+				lo, hi := clipRun(outW, w, kx-pad)
+				if stride == 1 && lo == hi {
+					continue
+				}
 				for oy := 0; oy < outH; oy++ {
 					sy := oy*stride + ky - pad
 					if sy < 0 || sy >= h {
-						i += outW
 						continue
 					}
-					rowBase := base + sy*w
-					for ox := 0; ox < outW; ox++ {
-						sx := ox*stride + kx - pad
-						if sx >= 0 && sx < w {
-							id[rowBase+sx] += src[i]
+					in := src[oy*outW : (oy+1)*outW]
+					dst := id[base+sy*w : base+(sy+1)*w]
+					if stride == 1 {
+						run := dst[lo+kx-pad:]
+						for j, v := range in[lo:hi] {
+							run[j] += v
 						}
-						i++
+						continue
+					}
+					for ox, v := range in {
+						if sx := ox*stride + kx - pad; sx >= 0 && sx < w {
+							dst[sx] += v
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// clipRun returns the output columns [lo, hi) of a stride-1 row whose
+// source column ox+off lies inside an image row of width w; lo == hi when
+// the whole row is padding.
+func clipRun(outW, w, off int) (lo, hi int) {
+	lo, hi = max(0, -off), min(outW, w-off)
+	if hi <= lo {
+		return 0, 0
+	}
+	return lo, hi
 }

@@ -14,7 +14,8 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	x *tensor.Tensor // cached input for backward
+	x     *tensor.Tensor // cached input for backward
+	train bool           // last Forward's mode: Backward skips dW/db after eval
 }
 
 // NewDense constructs a fully connected layer with He-normal weight
@@ -71,7 +72,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 2 || x.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s: Forward input shape %v, want [N %d]", d.name, x.Shape(), d.In))
 	}
-	d.x = x
+	d.x, d.train = x, train
 	// y[n,o] = Σ_i x[n,i]·W[o,i] + b[o]
 	y := tensor.MatMulTransB(x, d.W.Value)
 	n := x.Dim(0)
@@ -86,22 +87,25 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. After an eval-mode Forward it returns the
+// input gradient only (see Conv2D.Backward).
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	// dW[o,i] += Σ_n dout[n,o]·x[n,i], accumulated straight into the
-	// gradient — no intermediate product tensor.
-	tensor.MatMulAccumTransA(d.W.Grad, dout, d.x)
-	// db[o] += Σ_n dout[n,o]
-	n, out := dout.Dim(0), dout.Dim(1)
-	db := d.B.Grad.Data()
-	dd := dout.Data()
-	for r := 0; r < n; r++ {
-		row := dd[r*out : (r+1)*out]
-		for o := range row {
-			db[o] += row[o]
+	if d.train {
+		// dW[o,i] += Σ_n dout[n,o]·x[n,i], accumulated straight into the
+		// gradient — no intermediate product tensor.
+		tensor.MatMulAccumTransA(d.W.Grad, dout, d.x)
+		// db[o] += Σ_n dout[n,o]
+		n, out := dout.Dim(0), dout.Dim(1)
+		db := d.B.Grad.Data()
+		dd := dout.Data()
+		for r := 0; r < n; r++ {
+			row := dd[r*out : (r+1)*out]
+			for o := range row {
+				db[o] += row[o]
+			}
 		}
 	}
 	// dx[n,i] = Σ_o dout[n,o]·W[o,i]

@@ -23,11 +23,19 @@ func (s *scalarOf) value(y *tensor.Tensor) float64 { return tensor.Dot(y, s.weig
 func (s *scalarOf) grad() *tensor.Tensor { return s.weights.Clone() }
 
 // checkLayerInputGrad verifies Backward's input gradient against central
-// finite differences of the scalarized Forward output.
+// finite differences of the scalarized training-mode Forward output.
 func checkLayerInputGrad(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
+	checkLayerInputGradMode(t, layer, x, true, tol)
+}
+
+// checkLayerInputGradMode is checkLayerInputGrad in the given Forward mode:
+// the gradient Backward returns must be that of the function the last
+// Forward actually computed.
+func checkLayerInputGradMode(t *testing.T, layer Layer, x *tensor.Tensor, train bool, tol float64) {
+	t.Helper()
 	rng := mathx.NewRNG(12345)
-	y := layer.Forward(x, true)
+	y := layer.Forward(x, train)
 	s := newScalarOf(rng, y.Shape())
 	analytic := layer.Backward(s.grad())
 
@@ -37,9 +45,9 @@ func checkLayerInputGrad(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 	for i := range xd {
 		orig := xd[i]
 		xd[i] = orig + h
-		yp := s.value(layer.Forward(x, true))
+		yp := s.value(layer.Forward(x, train))
 		xd[i] = orig - h
-		ym := s.value(layer.Forward(x, true))
+		ym := s.value(layer.Forward(x, train))
 		xd[i] = orig
 		numeric := (yp - ym) / (2 * h)
 		a := analytic.Data()[i]
@@ -167,6 +175,28 @@ func TestBatchNormGradients(t *testing.T) {
 	x := tensor.RandN(rng, 4, 3, 3, 3)
 	checkLayerInputGrad(t, bn, x, 1e-5)
 	checkLayerParamGrads(t, bn, x, 1e-5)
+}
+
+// In eval mode the layer is an affine map of the running statistics, so the
+// input gradient is γ·invStd·dy — not the batch-statistics formula — and,
+// like every eval-mode backward, it writes no parameter gradient.
+func TestBatchNormEvalGradients(t *testing.T) {
+	rng := mathx.NewRNG(9)
+	bn := NewBatchNorm2D("bn", 3)
+	// Running statistics and an affine unlike the batch's own, so the two
+	// formulas disagree visibly.
+	for c := 0; c < 3; c++ {
+		bn.RunMean.Data()[c] = rng.Range(-1, 1)
+		bn.RunVar.Data()[c] = rng.Range(0.5, 2)
+		bn.Gamma.Value.Data()[c] = rng.Range(0.5, 1.5)
+	}
+	x := tensor.RandN(rng, 4, 3, 3, 3)
+	checkLayerInputGradMode(t, bn, x, false, 1e-6)
+	for _, p := range bn.Params() {
+		if p.Grad.L1Norm() != 0 {
+			t.Fatalf("eval-mode backward wrote %s", p.Name)
+		}
+	}
 }
 
 func TestFlattenGradients(t *testing.T) {

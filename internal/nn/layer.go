@@ -53,7 +53,9 @@ type Layer interface {
 	// training-time behaviour (dropout masks, batch statistics).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes dLoss/dOutput for the most recent Forward call and
-	// returns dLoss/dInput, accumulating parameter gradients on the way.
+	// returns dLoss/dInput. It accumulates parameter gradients only if that
+	// Forward ran with train set; dLoss/dInput does not depend on the flag
+	// wherever both modes compute the same function.
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters, or nil for stateless layers.
 	Params() []*Param

@@ -260,7 +260,7 @@ func (c *conv32) forward(x *tensor.Tensor32) *tensor.Tensor32 {
 	out := scratch32(&c.outBuf, n, c.outC, outH, outW)
 	xd, od, yd := x.Data(), out.Data(), y.Data()
 	for s := 0; s < n; s++ {
-		im2col32(xd[s*chw:(s+1)*chw], c.inC, h, w, cols.Data(), c.k, c.stride, c.pad)
+		im2col(xd[s*chw:(s+1)*chw], c.inC, h, w, cols.Data(), c.k, c.stride, c.pad)
 		tensor.MatMul32Into(y, c.w, cols) // [OutC, spatial]
 		dst := od[s*c.outC*spatial : (s+1)*c.outC*spatial]
 		for f := 0; f < c.outC; f++ {
@@ -469,45 +469,6 @@ func (e elt32) forward(x *tensor.Tensor32) *tensor.Tensor32 {
 		}
 	}
 	return x
-}
-
-// im2col32 is im2col over raw float32 storage: lowers a CHW image into a
-// [C·K·K, outH·outW] matrix, zero-filling padding positions.
-func im2col32(id []float32, ch, h, w int, cd []float32, k, stride, pad int) {
-	outH := (h+2*pad-k)/stride + 1
-	outW := (w+2*pad-k)/stride + 1
-	spatial := outH * outW
-	row := 0
-	for cc := 0; cc < ch; cc++ {
-		base := cc * h * w
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				dst := cd[row*spatial : (row+1)*spatial]
-				row++
-				i := 0
-				for oy := 0; oy < outH; oy++ {
-					sy := oy*stride + ky - pad
-					if sy < 0 || sy >= h {
-						for ox := 0; ox < outW; ox++ {
-							dst[i] = 0
-							i++
-						}
-						continue
-					}
-					rowBase := base + sy*w
-					for ox := 0; ox < outW; ox++ {
-						sx := ox*stride + kx - pad
-						if sx < 0 || sx >= w {
-							dst[i] = 0
-						} else {
-							dst[i] = id[rowBase+sx]
-						}
-						i++
-					}
-				}
-			}
-		}
-	}
 }
 
 func float32Slice(src []float64) []float32 {

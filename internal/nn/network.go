@@ -147,8 +147,12 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward propagates dLoss/dLogits back through the stack, accumulating
-// parameter gradients, and returns dLoss/dInput.
+// Backward propagates dLoss/dLogits back through the stack and returns
+// dLoss/dInput in a freshly allocated, caller-owned tensor. Parameter
+// gradients are accumulated only when the preceding Forward ran in training
+// mode; after an eval-mode Forward the pass yields the input gradient alone,
+// with the same bits (for a stack whose two modes compute one function, i.e.
+// without Dropout or BatchNorm2D).
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	g := dout
 	for i := len(n.layers) - 1; i >= 0; i-- {
@@ -275,9 +279,9 @@ func (n *Network) Predict(img *tensor.Tensor) (class int, prob float64) {
 
 // LossAndInputGrad computes loss(network(img), label) and its gradient with
 // respect to the image, the primitive consumed by every gradient-based
-// attack. The image is promoted to a batch of one; parameter gradients are
-// accumulated as a side effect, so training code must call ZeroGrads before
-// reusing them (attack code ignores them entirely).
+// attack. The image is promoted to a batch of one and run in eval mode, so
+// the query does the attacker's work only: no Param.Grad is touched. The
+// returned gradient is caller-owned (attacks keep it across queries).
 func (n *Network) LossAndInputGrad(img *tensor.Tensor, label int, loss Loss) (float64, *tensor.Tensor) {
 	batch := n.asBatch(img)
 	logits := n.Forward(batch, false)
@@ -289,7 +293,9 @@ func (n *Network) LossAndInputGrad(img *tensor.Tensor, label int, loss Loss) (fl
 // LogitsAndInputGradFrom runs a forward pass for a single image and then
 // backpropagates an arbitrary dLoss/dLogits vector, returning the input
 // gradient. Attacks with non-cross-entropy objectives (C&W margin loss,
-// DeepFool linearization, the FAdeML Eq. 2 cost) use this primitive.
+// DeepFool linearization, the FAdeML Eq. 2 cost) use this primitive. Like
+// LossAndInputGrad it is an eval-mode query: it writes no Param.Grad, and
+// both returned values are caller-owned.
 //
 // dlogitsFn must treat its argument as read-only and return a distinct
 // slice: the logits passed in (and returned to the caller) alias the live

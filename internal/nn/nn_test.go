@@ -364,8 +364,11 @@ func TestParamCountPositiveAndZeroGrads(t *testing.T) {
 	if net.ParamCount() <= 0 {
 		t.Fatal("ParamCount not positive")
 	}
-	img := tensor.RandU(rng, 0, 1, 1, 8, 8)
-	net.LossAndInputGrad(img, 0, CrossEntropy{})
+	// A training-mode pass is what accumulates parameter gradients; an
+	// eval-mode gradient query leaves them alone (TestEvalBackwardIsInputGradOnly).
+	batch := tensor.RandU(rng, 0, 1, 1, 1, 8, 8)
+	_, dlogits := CrossEntropy{}.Eval(net.Forward(batch, true), []int{0})
+	net.Backward(dlogits)
 	dirty := false
 	for _, p := range net.Params() {
 		if p.Grad.L1Norm() > 0 {
