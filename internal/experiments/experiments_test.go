@@ -265,6 +265,9 @@ func TestPaperHeadline(t *testing.T) {
 	if survived != 108 || len(aware.Panels) != 150 || aware.SurvivalRate() != 108.0/150 {
 		t.Errorf("Fig. 9 survived %d/%d (rate %v), want 108/150", survived, len(aware.Panels), aware.SurvivalRate())
 	}
+	// Beyond the counts, every panel's preds, confidences and names.
+	checkDigest(t, "fig7 headline panels", panelsDigest(blind.Panels), "fc0ddde188bc8fff260c697df17c65ab2274ed9a8768f43cbc48e6fa5456440f")
+	checkDigest(t, "fig9 headline panels", panelsDigest(aware.Panels), "fd49fe967bbfbf01e906092fb8abdfbe60e1103369a7d0f0023a947b343a3dd2")
 }
 
 // TestPrecisionDriftTrainedNet is the float32 lane's acceptance bar on
