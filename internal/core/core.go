@@ -11,7 +11,9 @@
 // Everything below core (tensor/nn/filters/attacks/pipeline/analysis) is a
 // substrate; everything above it (experiments, cmd tools, examples) is
 // presentation. Code that wants "attack this sign through this pipeline
-// and tell me what happened" calls core.Execute.
+// and tell me what happened" calls core.Execute; code that sweeps a grid
+// of such cells — every figure and the serving layer's /v1/evaluate —
+// walks it with RunGrid and crafts each cell with Craft.
 package core
 
 import (
@@ -90,14 +92,43 @@ type Outcome struct {
 }
 
 // Execute crafts an adversarial example from the clean image for the
-// scenario source→target and measures it against the deployed pipeline.
-// ctx cancellation and Run.Budget truncate the attack at iteration
-// granularity — the outcome still carries the best-so-far adversarial
-// example and its deployed-side measurement, flagged Truncated.
+// scenario source→target and measures it against the deployed pipeline:
+// Craft, then analysis.Compare. ctx cancellation and Run.Budget truncate
+// the attack at iteration granularity — the outcome still carries the
+// best-so-far adversarial example and its deployed-side measurement,
+// flagged Truncated.
 func Execute(ctx context.Context, run Run, clean *tensor.Tensor, source, target int) (*Outcome, error) {
 	if err := run.Validate(); err != nil {
 		return nil, err
 	}
+	res, attackName, err := craft(ctx, run, clean, attacks.Goal{Source: source, Target: target})
+	if err != nil {
+		return nil, fmt.Errorf("core: attack %s: %w", attackName, err)
+	}
+	cmp := analysis.Compare(run.Pipeline, clean, res.Adversarial, source, target, run.TM, attackName)
+	return &Outcome{AttackerResult: res, Comparison: cmp}, nil
+}
+
+// Craft is the crafting half of Execute: it generates an adversarial
+// example of clean for goal under run's budget, observer and crafting
+// mode, and returns the attack's own error unwrapped. It is the one place
+// a crafting mode becomes an (attack, classifier) pair:
+//
+//   - blind: the base attack against the bare network;
+//   - bpda, or FilterAware with no explicit mode: FAdeML over
+//     Pipeline.AttackerModel(TM) against the bare network;
+//   - eot: the base attack against the mode's expectation over re-seeded
+//     draws of that same attacker model.
+func Craft(ctx context.Context, run Run, clean *tensor.Tensor, goal attacks.Goal) (*attacks.Result, error) {
+	if err := run.Validate(); err != nil {
+		return nil, err
+	}
+	res, _, err := craft(ctx, run, clean, goal)
+	return res, err
+}
+
+// craft is Craft on a validated run; it also names the attacker it built.
+func craft(ctx context.Context, run Run, clean *tensor.Tensor, goal attacks.Goal) (*attacks.Result, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -113,9 +144,6 @@ func Execute(ctx context.Context, run Run, clean *tensor.Tensor, source, target 
 	attackName := run.Attack.Name()
 	switch {
 	case run.Adaptive.Kind == attacks.AdaptiveEOT:
-		// EOT crafting: the base attack differentiates through an
-		// expectation over re-seeded draws of the deployed chain's
-		// stochastic stages.
 		model := run.Pipeline.AttackerModel(run.TM)
 		cls = run.Adaptive.Classifier(base, model, run.Seed)
 		attackName = fmt.Sprintf("EOT[%s|%s|draws=%d]", run.Attack.Name(), model.Name(), run.Adaptive.Draws)
@@ -125,10 +153,6 @@ func Execute(ctx context.Context, run Run, clean *tensor.Tensor, source, target 
 		atk = fademl
 		attackName = fademl.Name()
 	}
-	res, err := atk.Generate(ctx, cls, clean, attacks.Goal{Source: source, Target: target})
-	if err != nil {
-		return nil, fmt.Errorf("core: attack %s: %w", attackName, err)
-	}
-	cmp := analysis.Compare(run.Pipeline, clean, res.Adversarial, source, target, run.TM, attackName)
-	return &Outcome{AttackerResult: res, Comparison: cmp}, nil
+	res, err := atk.Generate(ctx, cls, clean, goal)
+	return res, attackName, err
 }

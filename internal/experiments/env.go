@@ -63,18 +63,6 @@ func gridWorkers(n int) int {
 	return w
 }
 
-// firstErr returns the error with the lowest index — the same error a
-// serial loop would have surfaced first — so parallel failure modes stay
-// deterministic.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DefaultCacheDir is where trained weights are memoized between runs.
 func DefaultCacheDir() string { return filepath.Join("testdata", "cache") }
 

@@ -5,8 +5,11 @@ import (
 	"fmt"
 
 	"repro/internal/attacks"
+	"repro/internal/core"
+	"repro/internal/filters"
 	"repro/internal/gtsrb"
-	"repro/internal/parallel"
+	"repro/internal/nn"
+	"repro/internal/pipeline"
 	"repro/internal/tensor"
 )
 
@@ -99,66 +102,54 @@ type Fig5Result struct {
 
 // RunFig5 attacks each scenario's canonical source image with each attack
 // (nil attackNames = the paper's L-BFGS/FGSM/BIM trio) and records the
-// TM-I outcome. The attack × scenario grid cells are independent, so they
-// fan out over the parallel worker pool; rows land in the same
-// attack-major order a serial loop would produce.
+// TM-I outcome: an attack × scenario grid on core.RunGrid, so rows land in
+// attack-major order whatever the worker count.
 func RunFig5(ctx context.Context, env *Env, attackNames []string) (*Fig5Result, error) {
 	if attackNames == nil {
 		attackNames = attacks.PaperAttacks
 	}
-	res := &Fig5Result{ProfileName: env.Profile.Name}
-	nS := len(PaperScenarios)
-	tasks := len(attackNames) * nS
-	rows := make([]Fig5Row, tasks)
-	errs := make([]error, tasks)
-
+	atks, err := buildAll(attackNames, buildAttack)
+	if err != nil {
+		return nil, err
+	}
 	// Clean predictions are shared across the attack axis of the grid:
 	// score all scenario source images in one batched forward up front
 	// instead of once per cell (results are bit-identical to per-cell
 	// attacks.Predict calls).
-	cleanImgs := make([]*tensor.Tensor, nS)
+	cleanImgs := make([]*tensor.Tensor, len(PaperScenarios))
 	for i, sc := range PaperScenarios {
 		cleanImgs[i] = sc.CleanImage(env.Profile.Size)
 	}
 	cleanPreds, cleanConfs := env.Net.PredictBatch(cleanImgs)
 
-	nets := env.workerNets(gridWorkers(tasks))
-	parallel.ForWorker(len(nets), tasks, func(worker, t int) {
-		if err := ctx.Err(); err != nil {
-			errs[t] = err
-			return
-		}
-		name := attackNames[t/nS]
-		sc := PaperScenarios[t%nS]
-		c := attacks.NetClassifier{Net: nets[worker]}
-		atk, err := buildAttack(name)
+	g := core.Grid{Attacks: len(atks), Modes: []attacks.AdaptiveMode{blind}, TMs: 1, Filters: 1, Cases: len(PaperScenarios)}
+	rows := make([]Fig5Row, g.Len())
+	nets := env.workerNets(gridWorkers(g.Len()))
+	err = core.RunGrid(ctx, g, len(nets), func(w int, c core.Cell) (*attacks.Result, error) {
+		sc := PaperScenarios[c.Case]
+		out, err := craft(ctx, nets[w], filters.Identity{}, atks[c.Attack], blind, cleanImgs[c.Case], sc.goal())
 		if err != nil {
-			errs[t] = err
-			return
+			return nil, fmt.Errorf("fig5 %s on %s: %w", attackNames[c.Attack], sc, err)
 		}
-		clean := cleanImgs[t%nS]
-		cleanPred, cleanConf := cleanPreds[t%nS], cleanConfs[t%nS]
-		out, err := atk.Generate(ctx, c, clean, attacks.Goal{Source: sc.Source, Target: sc.Target})
-		if err != nil {
-			errs[t] = fmt.Errorf("fig5 %s on %s: %w", name, sc, err)
-			return
-		}
-		rows[t] = Fig5Row{
+		return out, nil
+	}, func(_ int, c core.Cell, out *attacks.Result) error {
+		sc := PaperScenarios[c.Case]
+		rows[c.Index] = Fig5Row{
 			Scenario:   sc,
-			AttackName: attackLabel(name),
-			CleanPred:  cleanPred,
-			CleanConf:  cleanConf,
+			AttackName: attackLabel(attackNames[c.Attack]),
+			CleanPred:  cleanPreds[c.Case],
+			CleanConf:  cleanConfs[c.Case],
 			AdvPred:    out.PredClass,
 			AdvConf:    out.Confidence,
 			Success:    out.PredClass == sc.Target,
 			NoiseLInf:  out.Noise.LInfNorm(),
 		}
+		return nil
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &Fig5Result{ProfileName: env.Profile.Name, Rows: rows}, nil
 }
 
 // SuccessRate returns the fraction of rows achieving their payload.
@@ -194,47 +185,67 @@ func (r *Fig5Result) Table() string {
 	return t.String()
 }
 
-// adversarialFor is a sweep helper shared by Fig. 6/7: it attacks every
-// image of ds toward the scenario target (filter-blind) and returns the
-// adversarial images. Images already labeled as the target are attacked
-// too — the paper applies the payload perturbation to the whole stream.
-//
-// Per-image generations are independent and fan out over the worker pool
-// (attacks re-seed from their configured Seed on every Generate call, so
-// sharing atk across workers is deterministic and race-free); results are
-// index-addressed, keeping them identical to a serial run.
-func adversarialFor(ctx context.Context, env *Env, ds *gtsrb.Dataset, atk attacks.Attack, sc Scenario) ([]*tensor.Tensor, error) {
-	n := ds.Len()
-	out := make([]*tensor.Tensor, n)
-	errs := make([]error, n)
-	nets := env.workerNets(gridWorkers(n))
-	parallel.ForWorker(len(nets), n, func(worker, i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
+// The figures' crafting modes: filter-blind, and filter-aware through
+// the cell's filter (FAdeML).
+var (
+	blind = attacks.AdaptiveMode{Kind: attacks.AdaptiveBlind}
+	bpda  = attacks.AdaptiveMode{Kind: attacks.AdaptiveBPDA}
+)
+
+// buildAll builds one attack per name. Attacks keep no state between
+// Generate calls, so every worker of a grid shares them.
+func buildAll(names []string, build func(string) (attacks.Attack, error)) ([]attacks.Attack, error) {
+	atks := make([]attacks.Attack, len(names))
+	for i, name := range names {
+		atk, err := build(name)
+		if err != nil {
+			return nil, err
 		}
-		img, label := ds.Sample(i)
+		atks[i] = atk
+	}
+	return atks, nil
+}
+
+// craft is every figure's crafting call: core.Craft on a worker's network
+// behind filter f, delivered under TM-III. blind ignores f; bpda folds it
+// into the attacker's model.
+func craft(ctx context.Context, net *nn.Network, f filters.Filter, atk attacks.Attack, mode attacks.AdaptiveMode, img *tensor.Tensor, goal attacks.Goal) (*attacks.Result, error) {
+	return core.Craft(ctx, core.Run{Pipeline: pipeline.New(net, f, nil), Attack: atk, Adaptive: mode, TM: pipeline.TM3}, img, goal)
+}
+
+// craftStream attacks every image of ds toward each scenario's target —
+// the paper perturbs the whole test stream — with every attack, through
+// every filter: a grid of atks × mode × flts × (scenario, image) cases
+// whose results come back indexed by cell. Blind crafting is shared across
+// flts; bpda crafts per filter, except through the identity, which the
+// bare attack covers. An image already labelled the target keeps the
+// scenario source as its bookkeeping source, so its goal stays valid.
+func craftStream(ctx context.Context, env *Env, scs []Scenario, ds *gtsrb.Dataset, atks []attacks.Attack, flts []filters.Filter, mode attacks.AdaptiveMode) ([]*tensor.Tensor, error) {
+	n := ds.Len()
+	g := core.Grid{Attacks: len(atks), Modes: []attacks.AdaptiveMode{mode}, TMs: 1, Filters: len(flts), Cases: len(scs) * n}
+	advs := make([]*tensor.Tensor, g.Len())
+	nets := env.workerNets(gridWorkers(g.Len()))
+	err := core.RunGrid(ctx, g, len(nets), func(w int, c core.Cell) (*tensor.Tensor, error) {
+		sc, f := scs[c.Case/n], flts[c.Filter]
+		img, label := ds.Sample(c.Case % n)
 		goal := attacks.Goal{Source: label, Target: sc.Target}
 		if label == sc.Target {
-			// Cannot target an image into its own class; use the scenario
-			// source as the bookkeeping source and leave the goal valid.
-			goal = attacks.Goal{Source: sc.Source, Target: sc.Target}
-			if sc.Source == label {
-				out[i] = img.Clone()
-				return
-			}
+			goal.Source = sc.Source
 		}
-		res, err := atk.Generate(ctx, attacks.NetClassifier{Net: nets[worker]}, img, goal)
+		m := mode
+		if _, ok := f.(filters.Identity); ok {
+			m = blind
+		}
+		out, err := craft(ctx, nets[w], f, atks[c.Attack], m, img, goal)
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, fmt.Errorf("%s on %s, image %d: %w", atks[c.Attack].Name(), sc, c.Case%n, err)
 		}
-		out[i] = res.Adversarial
+		return out.Adversarial, nil
+	}, func(_ int, c core.Cell, adv *tensor.Tensor) error {
+		advs[c.Index] = adv
+		return nil
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return advs, err
 }
 
 // sliceDataset adapts a fixed set of (possibly attacked) images with the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/attacks"
+	"repro/internal/filters"
 	"repro/internal/train"
 )
 
@@ -48,28 +49,32 @@ func buildFig6Attack(name string) (attacks.Attack, error) {
 }
 
 // RunFig6 measures top-5 accuracy under each attack × scenario over the
-// profile's attack-eval subset (nil attackNames = the paper trio).
+// profile's attack-eval subset (nil attackNames = the paper trio): one
+// craftStream grid with every (scenario, image) on the case axis, then a
+// serial reduction per (attack, scenario).
 func RunFig6(ctx context.Context, env *Env, attackNames []string) (*Fig6Result, error) {
 	if attackNames == nil {
 		attackNames = attacks.PaperAttacks
 	}
+	atks, err := buildAll(attackNames, buildFig6Attack)
+	if err != nil {
+		return nil, err
+	}
 	ds := env.attackSubset()
+	n := ds.Len()
 	res := &Fig6Result{
 		ProfileName: env.Profile.Name,
-		Baseline:    train.EvaluateOn(env.workerNets(gridWorkers(ds.Len())), ds, nil),
-		Samples:     ds.Len(),
+		Baseline:    train.EvaluateOn(env.workerNets(gridWorkers(n)), ds, nil),
+		Samples:     n,
 	}
-	for _, name := range attackNames {
-		atk, err := buildFig6Attack(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, sc := range PaperScenarios {
-			advs, err := adversarialFor(ctx, env, ds, atk, sc)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 %s on %s: %w", name, sc, err)
-			}
-			m := train.EvaluateOn(env.workerNets(gridWorkers(ds.Len())), newSliceDataset(advs, ds), nil)
+	advs, err := craftStream(ctx, env, PaperScenarios, ds, atks, []filters.Filter{filters.Identity{}}, blind)
+	if err != nil {
+		return nil, fmt.Errorf("fig6 %w", err)
+	}
+	for a, name := range attackNames {
+		for s, sc := range PaperScenarios {
+			set := advs[(a*len(PaperScenarios)+s)*n:][:n]
+			m := train.EvaluateOn(env.workerNets(gridWorkers(n)), newSliceDataset(set, ds), nil)
 			res.Cells = append(res.Cells, Fig6Cell{
 				Scenario:   sc,
 				AttackName: attackLabel(name),

@@ -5,9 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/attacks"
+	"repro/internal/core"
 	"repro/internal/filters"
 	"repro/internal/gtsrb"
-	"repro/internal/parallel"
+	"repro/internal/mathx"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -131,17 +132,22 @@ func RunFig7(ctx context.Context, env *Env, opt SweepOptions) (*Fig7Result, erro
 
 // runFilterSweep is shared between Fig. 7 (filterAware=false) and Fig. 9
 // (filterAware=true). The only difference is whether the attack models the
-// filter during generation.
-//
-// The grid is executed in two parallel stages over the worker pool: the
-// filter-blind generations (one per attack × scenario, reused across the
-// filter axis) and then every panel cell (attack × scenario × filter —
-// for Fig. 9 each cell runs its own filter-aware generation, which is
-// where the bulk of the wall time goes). Cells are index-addressed, so
-// the result is cell-for-cell identical to a serial sweep.
+// filter during generation: blind crafting runs once per attack × scenario
+// and is shared across the filter axis, filter-aware crafting runs per
+// panel. Panels are a grid of attacks × filters × scenarios on
+// core.RunGrid; the curves are one craftStream grid per curve scenario,
+// with the attacked subset on the case axis, reduced per (attack, filter)
+// by train.EvaluateOnBatch.
 func runFilterSweep(ctx context.Context, env *Env, opt SweepOptions, filterAware bool) (*Fig7Result, error) {
-	res := &Fig7Result{ProfileName: env.Profile.Name, FilterAware: filterAware}
 	grid, err := opt.filterGrid()
+	if err != nil {
+		return nil, err
+	}
+	fig, build, mode := "fig7", buildAttack, blind
+	if filterAware {
+		fig, build, mode = "fig9", buildFilterAwareAttack, bpda
+	}
+	atks, err := buildAll(opt.AttackNames, build)
 	if err != nil {
 		return nil, err
 	}
@@ -154,169 +160,71 @@ func runFilterSweep(ctx context.Context, env *Env, opt SweepOptions, filterAware
 		}
 	}
 	nS, nF := len(opt.Scenarios), len(real)
-
-	// Stage 1 (filter-blind only): one generation per attack × scenario.
-	blind := make([]*tensor.Tensor, len(opt.AttackNames)*nS)
-	if !filterAware {
-		errs := make([]error, len(blind))
-		nets := env.workerNets(gridWorkers(len(blind)))
-		parallel.ForWorker(len(nets), len(blind), func(worker, t int) {
-			if err := ctx.Err(); err != nil {
-				errs[t] = err
-				return
-			}
-			name := opt.AttackNames[t/nS]
-			sc := opt.Scenarios[t%nS]
-			atk, err := buildAttack(name)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			out, err := atk.Generate(ctx, attacks.NetClassifier{Net: nets[worker]},
-				sc.CleanImage(env.Profile.Size), attacks.Goal{Source: sc.Source, Target: sc.Target})
-			if err != nil {
-				errs[t] = fmt.Errorf("fig7 %s on %s: %w", name, sc, err)
-				return
-			}
-			blind[t] = out.Adversarial
-		})
-		if err := firstErr(errs); err != nil {
-			return nil, err
+	g := core.Grid{Attacks: len(atks), Modes: []attacks.AdaptiveMode{mode}, TMs: 1, Filters: nF, Cases: nS}
+	res := &Fig7Result{ProfileName: env.Profile.Name, FilterAware: filterAware, Panels: make([]Fig7Panel, g.Len())}
+	nets := env.workerNets(gridWorkers(g.Len()))
+	err = core.RunGrid(ctx, g, len(nets), func(w int, c core.Cell) (*tensor.Tensor, error) {
+		sc, f := opt.Scenarios[c.Case], real[c.Filter]
+		out, err := craft(ctx, nets[w], f, atks[c.Attack], mode, sc.CleanImage(env.Profile.Size), sc.goal())
+		if err != nil {
+			return nil, fmt.Errorf("%s %s on %s: %w", fig, atks[c.Attack].Name(), sc, err)
 		}
-	}
-
-	// Stage 2: every panel cell, in the serial sweep's attack-major order.
-	panels := make([]Fig7Panel, len(opt.AttackNames)*nS*nF)
-	errs := make([]error, len(panels))
-	nets := env.workerNets(gridWorkers(len(panels)))
-	parallel.ForWorker(len(nets), len(panels), func(worker, t int) {
-		if err := ctx.Err(); err != nil {
-			errs[t] = err
-			return
-		}
-		ai, rem := t/(nS*nF), t%(nS*nF)
-		si, fi := rem/nF, rem%nF
-		name, sc, f := opt.AttackNames[ai], opt.Scenarios[si], real[fi]
-		net := nets[worker]
-
-		adv := blind[ai*nS+si]
-		if filterAware {
-			atk, err := buildFilterAwareAttack(name)
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			out, err := attacks.NewFAdeML(atk, f).Generate(ctx, attacks.NetClassifier{Net: net},
-				sc.CleanImage(env.Profile.Size), attacks.Goal{Source: sc.Source, Target: sc.Target})
-			if err != nil {
-				errs[t] = fmt.Errorf("fig9 %s|%s on %s: %w", name, f.Name(), sc, err)
-				return
-			}
-			adv = out.Adversarial
-		}
-		p := pipeline.New(net, f, nil)
-		cmp := analysisCompare(p, adv, sc)
-		panels[t] = Fig7Panel{
+		return out.Adversarial, nil
+	}, func(w int, c core.Cell, adv *tensor.Tensor) error {
+		sc, f := opt.Scenarios[c.Case], real[c.Filter]
+		// Both threat-model views score in one batched forward; rows are
+		// bit-identical to separate Probs calls.
+		views := pipeline.New(nets[w], f, nil).ProbsViews(adv, pipeline.TM1, pipeline.TM3)
+		pi, px := mathx.ArgMax(views[0]), mathx.ArgMax(views[1])
+		// Panels read attack, scenario, filter — the filter fastest.
+		res.Panels[(c.Attack*nS+c.Case)*nF+c.Filter] = Fig7Panel{
 			Scenario:     sc,
-			AttackName:   attackLabel(name),
+			AttackName:   attackLabel(opt.AttackNames[c.Attack]),
 			FilterName:   f.Name(),
-			TM1Pred:      cmp.tm1Pred,
-			TM1Conf:      cmp.tm1Conf,
-			FilteredPred: cmp.tmxPred,
-			FilteredConf: cmp.tmxConf,
-			Neutralized:  cmp.tm1Pred == sc.Target && cmp.tmxPred == sc.Source,
+			TM1Pred:      pi,
+			TM1Conf:      views[0][pi],
+			FilteredPred: px,
+			FilteredConf: views[1][px],
+			Neutralized:  pi == sc.Target && px == sc.Source,
 		}
+		return nil
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	res.Panels = panels
+	if !opt.IncludeCurves {
+		return res, nil
+	}
 
-	// Curves: accuracy over the attacked subset per filter configuration.
-	if opt.IncludeCurves {
-		ds := env.attackSubset()
-		curveAttacks := append([]string{"none"}, opt.AttackNames...)
-		for _, sc := range opt.CurveScenarios {
-			for _, name := range curveAttacks {
-				curve := Fig7Curve{Scenario: sc, AttackName: attackLabel(name)}
-				// Filter-blind adversarial images are reused across the
-				// grid; filter-aware ones are regenerated per filter.
-				var blindAdvs []*tensor.Tensor
-				if name != "none" && !filterAware {
-					atk, err := buildAttack(name)
-					if err != nil {
-						return nil, err
-					}
-					blindAdvs, err = adversarialFor(ctx, env, ds, atk, sc)
-					if err != nil {
-						return nil, fmt.Errorf("fig7 curves %s on %s: %w", name, sc, err)
-					}
+	// Curves: Top-5 accuracy of the attacked subset per filter
+	// configuration, the unattacked subset first.
+	ds := env.attackSubset()
+	n := ds.Len()
+	for _, sc := range opt.CurveScenarios {
+		advs, err := craftStream(ctx, env, []Scenario{sc}, ds, atks, grid, mode)
+		if err != nil {
+			return nil, fmt.Errorf("%s curves %w", fig, err)
+		}
+		for a, name := range append([]string{"none"}, opt.AttackNames...) {
+			curve := Fig7Curve{Scenario: sc, AttackName: attackLabel(name)}
+			for fi, f := range grid {
+				var eval train.Dataset = ds
+				if a > 0 {
+					eval = newSliceDataset(advs[((a-1)*len(grid)+fi)*n:][:n], ds)
 				}
-				for _, f := range grid {
-					var eval train.Dataset
-					switch {
-					case name == "none":
-						eval = ds
-					case !filterAware:
-						eval = newSliceDataset(blindAdvs, ds)
-					default:
-						atk, err := buildFilterAwareAttack(name)
-						if err != nil {
-							return nil, err
-						}
-						var gen attacks.Attack = atk
-						if _, isIdentity := f.(filters.Identity); !isIdentity {
-							gen = attacks.NewFAdeML(atk, f)
-						}
-						advs, err := adversarialFor(ctx, env, ds, gen, sc)
-						if err != nil {
-							return nil, fmt.Errorf("fig9 curves %s|%s on %s: %w", name, f.Name(), sc, err)
-						}
-						eval = newSliceDataset(advs, ds)
-					}
-					p := pipeline.New(env.Net, f, nil)
-					// Panel-view evaluation delivers each mini-batch through
-					// the batched filter path (Filter.ApplyBatch).
-					m := train.EvaluateOnBatch(env.workerNets(gridWorkers(eval.Len())), eval,
-						func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
-							return p.DeliverBatch(imgs, pipeline.TM3)
-						})
-					curve.FilterNames = append(curve.FilterNames, f.Name())
-					curve.Top5 = append(curve.Top5, m.Top5)
-				}
-				res.Curves = append(res.Curves, curve)
+				p := pipeline.New(env.Net, f, nil)
+				// Delivery runs batched through Filter.ApplyBatch.
+				m := train.EvaluateOnBatch(env.workerNets(gridWorkers(n)), eval,
+					func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+						return p.DeliverBatch(imgs, pipeline.TM3)
+					})
+				curve.FilterNames = append(curve.FilterNames, f.Name())
+				curve.Top5 = append(curve.Top5, m.Top5)
 			}
+			res.Curves = append(res.Curves, curve)
 		}
 	}
 	return res, nil
-}
-
-// cmpView is a minimal internal comparison (full analysis.Comparison needs
-// a clean image too; the panels only need the adversarial views).
-type cmpView struct {
-	tm1Pred int
-	tm1Conf float64
-	tmxPred int
-	tmxConf float64
-}
-
-func analysisCompare(p *pipeline.Pipeline, adv *tensor.Tensor, sc Scenario) cmpView {
-	// Both threat-model views of the panel cell score in one batched
-	// forward; rows are bit-identical to separate Probs calls.
-	views := p.ProbsViews(adv, pipeline.TM1, pipeline.TM3)
-	probsI, probsX := views[0], views[1]
-	pi, px := argmax(probsI), argmax(probsX)
-	return cmpView{tm1Pred: pi, tm1Conf: probsI[pi], tmxPred: px, tmxConf: probsX[px]}
-}
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // NeutralizationRate returns the fraction of panels where the filter

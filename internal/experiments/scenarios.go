@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/attacks"
 	"repro/internal/gtsrb"
 	"repro/internal/tensor"
 )
@@ -39,6 +40,9 @@ func (s Scenario) String() string {
 func (s Scenario) CleanImage(size int) *tensor.Tensor {
 	return gtsrb.Canonical(s.Source, size)
 }
+
+// goal is the scenario's payload as an attack goal.
+func (s Scenario) goal() attacks.Goal { return attacks.Goal{Source: s.Source, Target: s.Target} }
 
 // SourceName and TargetName return human-readable class names.
 func (s Scenario) SourceName() string { return gtsrb.ClassName(s.Source) }

@@ -279,11 +279,14 @@ type EvaluateResult struct {
 	Gaps []EvalGap
 }
 
-// Evaluate runs the fooling-rate sweep. Crafting happens on the attack
-// worker slots under the per-cell server budget; the deployed-side
-// measurements stream through the micro-batching prediction pool, so an
-// evaluation coalesces with live prediction traffic. Cancelling ctx
-// aborts the sweep between cells with the context error.
+// Evaluate runs the fooling-rate sweep. The whole request is validated
+// before anything is crafted (see ARCHITECTURE.md for the order). The
+// spec × mode × tm × filter × case grid then runs on core.RunGrid with
+// one worker: crafting happens on the attack worker slots under the
+// per-cell server budget, and the deployed-side measurements stream
+// through the micro-batching prediction pool, so an evaluation coalesces
+// with live prediction traffic. Cancelling ctx aborts the sweep between
+// cells with the context error.
 func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateResult, error) {
 	if s.attackers == nil {
 		return nil, ErrAttacksDisabled
@@ -303,16 +306,10 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 	}
 	tms := req.TMs
 	if len(tms) == 0 {
-		tm, err := s.attackTM(0)
-		if err != nil {
-			return nil, err
-		}
-		tms = []pipeline.ThreatModel{tm}
+		tms = []pipeline.ThreatModel{0} // the server's attack threat model
 	}
-	for _, tm := range tms {
-		if _, err := s.attackTM(tm); err != nil {
-			return nil, err
-		}
+	if tms, err = parseEach(tms, s.attackTM); err != nil {
+		return nil, err
 	}
 	cases := req.Cases
 	if len(cases) == 0 {
@@ -322,19 +319,19 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		return nil, errors.New("serve: evaluate needs cases (none in the request, none configured)")
 	}
 	// The filters axis: each entry overrides the deployed pre-processing
-	// for one series; a nil entry keeps the deployment as-is.
+	// for one series ("none" measures the unfiltered deployment); a nil
+	// entry keeps the deployment as-is.
 	flts := []filters.Filter{nil}
 	if len(req.Filters) > 0 {
-		flts = make([]filters.Filter, len(req.Filters))
-		for i, spec := range req.Filters {
+		flts, err = parseEach(req.Filters, func(spec string) (filters.Filter, error) {
 			f, err := filters.Parse(spec)
-			if err != nil {
-				return nil, err
-			}
-			if f == nil {
+			if f == nil && err == nil {
 				f = filters.Identity{}
 			}
-			flts[i] = f
+			return f, err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	// The adaptive axis: explicit crafting modes, or the single legacy
@@ -345,44 +342,42 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		modes[0].Kind = attacks.AdaptiveBPDA
 	}
 	if len(req.Adaptive) > 0 {
-		modes = make([]attacks.AdaptiveMode, len(req.Adaptive))
-		for i, spec := range req.Adaptive {
-			mode, err := attacks.ParseAdaptive(spec)
-			if err != nil {
-				return nil, err
-			}
-			modes[i] = mode
+		if modes, err = parseEach(req.Adaptive, attacks.ParseAdaptive); err != nil {
+			return nil, err
 		}
 	}
-	if cells := len(req.Specs) * len(modes) * len(tms) * len(flts) * len(cases); cells > maxEvalCells {
-		return nil, fmt.Errorf("serve: evaluate grid of %d cells exceeds the %d-cell cap", cells, maxEvalCells)
+	g := core.Grid{Attacks: len(req.Specs), Modes: modes, TMs: len(tms), Filters: len(flts), Cases: len(cases)}
+	if g.Len() > maxEvalCells {
+		return nil, fmt.Errorf("serve: evaluate grid of %d cells exceeds the %d-cell cap", g.Len(), maxEvalCells)
+	}
+	atks, err := parseEach(req.Specs, attacks.Parse)
+	if err != nil {
+		return nil, err
 	}
 	// The detection axis: an explicit spec overrides the deployed
 	// detector; "none" parses to nil and turns the axis off.
 	det := s.opts.Detector
 	if req.Detector != "" {
-		d, err := detect.Parse(req.Detector)
-		if err != nil {
+		if det, err = detect.Parse(req.Detector); err != nil {
 			return nil, err
 		}
-		det = d
 	}
-	// Clean scores anchor the axis: scored once per case (the case set is
-	// series-invariant) they give the sweep's operating clean-FPR and the
-	// negative class of every per-series ROC.
+	imgs, err := parseEach(cases, func(ec EvalCase) (*tensor.Tensor, error) { return s.caseImage(m, ec.Image, ec.Source) })
+	if err != nil {
+		return nil, err
+	}
+	// Clean scores anchor the detection axis: scored once per case (the
+	// case set is series-invariant) they give the sweep's operating
+	// clean-FPR and the negative class of every per-series ROC.
 	var cleanScores []float64
 	cleanFPR := 0.0
 	if det != nil {
 		cleanScores = make([]float64, len(cases))
 		flagged := 0
-		for i, ec := range cases {
-			img, err := s.caseImage(m, ec.Image, ec.Source)
-			if err != nil {
-				return nil, err
-			}
+		for i, img := range imgs {
 			sc, _, err := s.detectOn(ctx, m, det, img)
 			if err != nil {
-				return nil, fmt.Errorf("serve: evaluate clean detection on case %d→%d: %w", ec.Source, ec.Target, err)
+				return nil, fmt.Errorf("serve: evaluate clean detection on case %d→%d: %w", cases[i].Source, cases[i].Target, err)
 			}
 			cleanScores[i] = sc.Score
 			if sc.Score > det.Threshold {
@@ -392,177 +387,196 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		cleanFPR = float64(flagged) / float64(len(cases))
 	}
 
-	res := &EvaluateResult{}
-	// A filter-blind crafted example depends only on (spec, case) — the
-	// measured filter and delivery model never enter the optimization —
-	// so one crafting run is shared across the tm × filter axes instead
-	// of re-spending the attack budget per series. Adaptive crafting
-	// (bpda, eot) folds the cell's chain into the attack and is per-cell.
-	type craftKey struct {
-		spec    string
-		caseIdx int
+	// crafted is one crafting run with its cell-invariant measurements:
+	// the TM-I (unfiltered) view and, with a detection axis, the
+	// detector's score of that view. Blind cells share it across the
+	// tm × filter axes, so they echo the same Queries/Truncated.
+	type crafted struct {
+		out *attacks.Result
+		tm1 Prediction
+		det *detect.Score
 	}
-	crafted := map[craftKey]*craftedCell{}
-	for _, spec := range req.Specs {
-		for _, mode := range modes {
-			for _, tm := range tms {
-				for _, flt := range flts {
-					summary := EvalSummary{TM: tm, Adaptive: mode.Name()}
-					var advScores []float64
-					detected := 0
-					for ci, ec := range cases {
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
-						blind := mode.Kind == attacks.AdaptiveBlind
-						var pre *craftedCell
-						if blind {
-							pre = crafted[craftKey{spec, ci}]
-						}
-						cell, cc, err := s.evaluateCell(ctx, m, spec, tm, flt, ec, mode, det, pre)
-						if err != nil {
-							return nil, fmt.Errorf("serve: evaluate %s (%s) under %v on %d→%d: %w",
-								spec, mode.Name(), tm, ec.Source, ec.Target, err)
-						}
-						if blind {
-							crafted[craftKey{spec, ci}] = cc
-						}
-						summary.Attack = cell.Attack
-						summary.Filter = cell.Filter
-						summary.Cells++
-						if cell.Fooled {
-							summary.FoolingRate++
-						}
-						if cell.Truncated {
-							summary.Truncated++
-						}
-						if cell.Detection != nil {
-							advScores = append(advScores, cell.Detection.Score)
-							if cell.Detection.Detected {
-								detected++
-							}
-						}
-						res.Cells = append(res.Cells, *cell)
-					}
-					summary.FoolingRate /= float64(summary.Cells)
-					if det != nil {
-						summary.Detection = &SummaryDetection{
-							Detector:  det.Name(),
-							Threshold: det.Threshold,
-							Rate:      float64(detected) / float64(summary.Cells),
-							CleanFPR:  cleanFPR,
-							AUC:       detect.AUC(cleanScores, advScores),
-						}
-					}
-					res.Summaries = append(res.Summaries, summary)
-				}
-			}
+	cellErr := func(c core.Cell, err error) error {
+		ec := cases[c.Case]
+		return fmt.Errorf("serve: evaluate %s (%s) under %v on %d→%d: %w",
+			req.Specs[c.Attack], modes[c.Mode].Name(), tms[c.TM], ec.Source, ec.Target, err)
+	}
+	cells := make([]EvalCell, g.Len())
+	err = core.RunGrid(ctx, g, 1, func(_ int, c core.Cell) (crafted, error) {
+		var cr crafted
+		a, release, err := s.acquireAttacker(ctx, m)
+		if err != nil {
+			return cr, cellErr(c, err)
 		}
+		pipe := a.pipe
+		if flt := flts[c.Filter]; flt != nil {
+			// Filter override: same attacker-slot network (the slot is
+			// held exclusively), different pre-processing in front of it.
+			pipe = pipeline.New(a.pipe.Net, flt, a.pipe.Acq)
+		}
+		craftCtx, cancel := s.attackContext(ctx)
+		ec := cases[c.Case]
+		cr.out, err = core.Craft(craftCtx, core.Run{
+			Pipeline: pipe,
+			Attack:   atks[c.Attack],
+			Adaptive: modes[c.Mode],
+			Seed:     evalEOTSeed,
+			TM:       tms[c.TM],
+			Budget:   s.opts.AttackBudget,
+		}, imgs[c.Case], attacks.Goal{Source: ec.Source, Target: ec.Target})
+		cancel()
+		release()
+		if err == nil {
+			cr.tm1, err = first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{cr.out.Adversarial}, TM: pipeline.TM1}, false))
+		}
+		if err == nil && det != nil {
+			var sc detect.Score
+			sc, _, err = s.detectOn(ctx, m, det, cr.out.Adversarial)
+			cr.det = &sc
+		}
+		if err != nil {
+			return cr, cellErr(c, err)
+		}
+		return cr, nil
+	}, func(_ int, c core.Cell, cr crafted) error {
+		tm, ec := tms[c.TM], cases[c.Case]
+		// Measurement traffic is internal: the sweep already holds a
+		// bulk-lane slot, so its predictions must not consume interactive
+		// admission (or be refused mid-sweep by a drain). With a filter
+		// override, delivery runs on this goroutine and
+		// Net(DeliverThrough(x, ...)) is exactly the TM-I view of the
+		// delivered tensor.
+		filterName, view := s.filter.Name(), Request{Images: []*tensor.Tensor{cr.out.Adversarial}, TM: tm}
+		if flt := flts[c.Filter]; flt != nil {
+			filterName = flt.Name()
+			view = Request{Images: []*tensor.Tensor{pipeline.DeliverThrough(cr.out.Adversarial, flt, s.acq, tm)}, TM: pipeline.TM1}
+		}
+		dep, err := first(s.predict(ctx, m, view, false))
+		if err != nil {
+			return cellErr(c, err)
+		}
+		fooled := dep.Class != ec.Source
+		if ec.Target != attacks.Untargeted {
+			fooled = dep.Class == ec.Target
+		}
+		cells[c.Index] = EvalCell{
+			Attack:       atks[c.Attack].Name(),
+			TM:           tm,
+			Filter:       filterName,
+			Adaptive:     modes[c.Mode].Name(),
+			Source:       ec.Source,
+			Target:       ec.Target,
+			TM1Pred:      cr.tm1.Class,
+			TM1Conf:      cr.tm1.Prob,
+			DeployedPred: dep.Class,
+			DeployedConf: dep.Prob,
+			Fooled:       fooled,
+			Truncated:    cr.out.Truncated,
+			Queries:      cr.out.Queries,
+		}
+		if cr.det != nil {
+			cells[c.Index].Detection = &CellDetection{Score: cr.det.Score, Detected: cr.det.Score > det.Threshold}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	res := &EvaluateResult{Cells: cells, Summaries: summarize(cells, len(cases), det, cleanScores, cleanFPR)}
 	// The honest-robustness report: when the request swept an explicit
 	// adaptive axis containing blind plus stronger modes, compare each
 	// stronger series against its blind baseline.
 	if len(req.Adaptive) > 0 {
-		type gapKey struct {
-			attack string
-			tm     pipeline.ThreatModel
-			filter string
-		}
-		blindRate := map[gapKey]float64{}
-		for _, sm := range res.Summaries {
-			if sm.Adaptive == attacks.AdaptiveBlind {
-				blindRate[gapKey{sm.Attack, sm.TM, sm.Filter}] = sm.FoolingRate
-			}
-		}
-		for _, sm := range res.Summaries {
-			if sm.Adaptive == attacks.AdaptiveBlind {
-				continue
-			}
-			b, ok := blindRate[gapKey{sm.Attack, sm.TM, sm.Filter}]
-			if !ok {
-				continue
-			}
-			res.Gaps = append(res.Gaps, EvalGap{
-				Attack:       sm.Attack,
-				TM:           sm.TM,
-				Filter:       sm.Filter,
-				Adaptive:     sm.Adaptive,
-				BlindRate:    b,
-				AdaptiveRate: sm.FoolingRate,
-				Gap:          sm.FoolingRate - b,
-			})
-		}
+		res.Gaps = blindGaps(res.Summaries)
 	}
 	return res, nil
 }
 
-// craftedCell carries the cell-invariant parts of one filter-blind
-// crafting run — the attack result, its canonical name and its TM-I
-// (unfiltered) measurement — so Evaluate shares them across the
-// tm × filter axes instead of re-crafting and re-measuring.
-type craftedCell struct {
-	name string
-	out  *attacks.Result
-	tm1  Prediction
-	// det is the detector's verdict on the example's TM-I view; nil when
-	// the sweep ran without a detection axis. Like tm1, the score depends
-	// only on the crafted example, so it is shared across tm × filter.
-	det *detect.Score
+// summarize aggregates every run of perSeries consecutive cells — one
+// attack × mode × tm × filter series — into its summary. With a detector,
+// each series also reports its detection rate and its ROC AUC against the
+// sweep's clean scores.
+func summarize(cells []EvalCell, perSeries int, det *detect.Detector, cleanScores []float64, cleanFPR float64) []EvalSummary {
+	var out []EvalSummary
+	for lo := 0; lo < len(cells); lo += perSeries {
+		series := cells[lo : lo+perSeries]
+		sm := EvalSummary{Attack: series[0].Attack, TM: series[0].TM, Filter: series[0].Filter, Adaptive: series[0].Adaptive, Cells: perSeries}
+		var advScores []float64
+		detected := 0
+		for _, cell := range series {
+			if cell.Fooled {
+				sm.FoolingRate++
+			}
+			if cell.Truncated {
+				sm.Truncated++
+			}
+			if cell.Detection != nil {
+				advScores = append(advScores, cell.Detection.Score)
+				if cell.Detection.Detected {
+					detected++
+				}
+			}
+		}
+		sm.FoolingRate /= float64(sm.Cells)
+		if det != nil {
+			sm.Detection = &SummaryDetection{
+				Detector:  det.Name(),
+				Threshold: det.Threshold,
+				Rate:      float64(detected) / float64(sm.Cells),
+				CleanFPR:  cleanFPR,
+				AUC:       detect.AUC(cleanScores, advScores),
+			}
+		}
+		out = append(out, sm)
+	}
+	return out
 }
 
-// evaluateCell crafts (unless pre carries a reusable filter-blind
-// result) and measures one grid cell. flt overrides the deployed
-// pre-processing for this cell; nil keeps the deployment. The crafting
-// bundle is returned alongside the cell so Evaluate can share it across
-// the tm × filter axes.
-func (s *Server) evaluateCell(ctx context.Context, m *servedModel, spec string, tm pipeline.ThreatModel, flt filters.Filter, ec EvalCase, mode attacks.AdaptiveMode, det *detect.Detector, pre *craftedCell) (*EvalCell, *craftedCell, error) {
-	if pre == nil {
-		cc, err := s.craftCell(ctx, m, spec, tm, flt, ec, mode, det)
-		if err != nil {
-			return nil, nil, err
-		}
-		pre = cc
+// blindGaps compares every non-blind series with the blind series of the
+// same attack, threat model and filter.
+func blindGaps(summaries []EvalSummary) []EvalGap {
+	type gapKey struct {
+		attack string
+		tm     pipeline.ThreatModel
+		filter string
 	}
-	out := pre.out
-	filterName := s.filter.Name()
-	// Measurement traffic is internal: the sweep already holds a
-	// bulk-lane slot, so its predictions must not consume interactive
-	// admission (or be refused mid-sweep by a drain).
-	view := Request{Images: []*tensor.Tensor{out.Adversarial}, TM: tm}
-	if flt != nil {
-		filterName = flt.Name()
-		view = Request{Images: []*tensor.Tensor{pipeline.DeliverThrough(out.Adversarial, flt, s.acq, tm)}, TM: pipeline.TM1}
-	}
-	dep, err := first(s.predict(ctx, m, view, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	fooled := dep.Class != ec.Source
-	if ec.Target != attacks.Untargeted {
-		fooled = dep.Class == ec.Target
-	}
-	cell := &EvalCell{
-		Attack:       pre.name,
-		TM:           tm,
-		Filter:       filterName,
-		Adaptive:     mode.Name(),
-		Source:       ec.Source,
-		Target:       ec.Target,
-		TM1Pred:      pre.tm1.Class,
-		TM1Conf:      pre.tm1.Prob,
-		DeployedPred: dep.Class,
-		DeployedConf: dep.Prob,
-		Fooled:       fooled,
-		Truncated:    out.Truncated,
-		Queries:      out.Queries,
-	}
-	if det != nil && pre.det != nil {
-		cell.Detection = &CellDetection{
-			Score:    pre.det.Score,
-			Detected: pre.det.Score > det.Threshold,
+	blindRate := map[gapKey]float64{}
+	for _, sm := range summaries {
+		if sm.Adaptive == attacks.AdaptiveBlind {
+			blindRate[gapKey{sm.Attack, sm.TM, sm.Filter}] = sm.FoolingRate
 		}
 	}
-	return cell, pre, nil
+	var gaps []EvalGap
+	for _, sm := range summaries {
+		b, ok := blindRate[gapKey{sm.Attack, sm.TM, sm.Filter}]
+		if !ok || sm.Adaptive == attacks.AdaptiveBlind {
+			continue
+		}
+		gaps = append(gaps, EvalGap{
+			Attack:       sm.Attack,
+			TM:           sm.TM,
+			Filter:       sm.Filter,
+			Adaptive:     sm.Adaptive,
+			BlindRate:    b,
+			AdaptiveRate: sm.FoolingRate,
+			Gap:          sm.FoolingRate - b,
+		})
+	}
+	return gaps
+}
+
+// parseEach resolves every entry of a request axis, failing on the first
+// bad one.
+func parseEach[S, T any](in []S, parse func(S) (T, error)) ([]T, error) {
+	out := make([]T, len(in))
+	for i, v := range in {
+		var err error
+		if out[i], err = parse(v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // evalEOTSeed is the base seed of server-side adaptive EOT draw streams:
@@ -570,66 +584,6 @@ func (s *Server) evaluateCell(ctx context.Context, m *servedModel, spec string, 
 // from filters.DrawSeed and the per-image streams from
 // filters.ImageSeed, so a fixed base loses no diversity).
 const evalEOTSeed uint64 = 1
-
-// craftCell runs one crafting job on an attacker slot and measures the
-// result's TM-I view through the prediction pool. With a detector, the
-// same TM-I view is also scored for the sweep's detection axis.
-func (s *Server) craftCell(ctx context.Context, m *servedModel, spec string, tm pipeline.ThreatModel, flt filters.Filter, ec EvalCase, mode attacks.AdaptiveMode, det *detect.Detector) (*craftedCell, error) {
-	atk, err := attacks.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	img, err := s.caseImage(m, ec.Image, ec.Source)
-	if err != nil {
-		return nil, err
-	}
-	a, release, err := s.acquireAttacker(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	pipe := a.pipe
-	if flt != nil {
-		// Filter override: same attacker-slot network (the slot is held
-		// exclusively), different pre-processing in front of it.
-		pipe = pipeline.New(a.pipe.Net, flt, a.pipe.Acq)
-	}
-	craftCtx, cancel := s.attackContext(ctx)
-	craftCtx = attacks.WithBudget(craftCtx, s.opts.AttackBudget)
-	gen := atk
-	var cls attacks.Classifier = attacks.NetClassifier{Net: pipe.Net}
-	switch mode.Kind {
-	case attacks.AdaptiveBPDA:
-		gen = attacks.NewFAdeML(atk, pipe.AttackerModel(tm))
-	case attacks.AdaptiveEOT:
-		cls = mode.Classifier(cls, pipe.AttackerModel(tm), evalEOTSeed)
-	}
-	goal := attacks.Goal{Source: ec.Source, Target: ec.Target}
-	out, err := gen.Generate(craftCtx, cls, img, goal)
-	cancel()
-	release()
-	if err != nil {
-		return nil, err
-	}
-	// The TM-I (unfiltered) measurement streams through the
-	// micro-batching pool and is cell-invariant, so it is cached with
-	// the crafting result. The per-cell deployed-side measurement also
-	// uses the pool: with a filter override, delivery runs on this
-	// goroutine and Net(DeliverThrough(x, ...)) is exactly the TM-I
-	// view of the delivered tensor.
-	tm1, err := first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{out.Adversarial}, TM: pipeline.TM1}, false))
-	if err != nil {
-		return nil, err
-	}
-	cc := &craftedCell{name: atk.Name(), out: out, tm1: tm1}
-	if det != nil {
-		sc, _, err := s.detectOn(ctx, m, det, out.Adversarial)
-		if err != nil {
-			return nil, err
-		}
-		cc.det = &sc
-	}
-	return cc, nil
-}
 
 // attackTM resolves a requested threat model for attack execution: only
 // the filtered delivery models TM2/TM3 are measurable by core.Execute,

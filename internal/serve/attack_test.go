@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,6 +190,37 @@ func TestServerEvaluateDefaultsAndLimits(t *testing.T) {
 	}
 	if _, err := s.Evaluate(ctx, EvaluateRequest{Specs: []string{"fgsm"}, Cases: big}); err == nil {
 		t.Error("oversized evaluate grid accepted")
+	}
+}
+
+// TestEvaluateValidatesBeforeCrafting pins up-front validation of the
+// whole sweep: with an unbudgeted million-step first attack (averaged over
+// 64 EOT draws, so it runs into the 5 s crafting timeout on any host), a
+// bad second spec or a bad second case image must fail the request before
+// the first cell crafts anything.
+func TestEvaluateValidatesBeforeCrafting(t *testing.T) {
+	s := New(servePipeline(t), Options{
+		Workers:       2,
+		MaxBatch:      4,
+		MaxWait:       time.Millisecond,
+		AttackWorkers: 1,
+		AttackTimeout: 5 * time.Second,
+		Render:        gtsrb.Canonical,
+	})
+	defer s.Close()
+	slow, eot := "pgd(eps=0.1,steps=1000000)", []string{"eot(draws=64)"}
+	nan := gtsrb.Canonical(1, 16).Clone()
+	nan.Data()[7] = math.NaN()
+	good := EvalCase{Source: 2, Target: 1}
+	for name, req := range map[string]EvaluateRequest{
+		"bad second spec": {Specs: []string{slow, "nosuch"}, Cases: []EvalCase{good}, Adaptive: eot},
+		"bad second case": {Specs: []string{slow}, Cases: []EvalCase{good, {Source: 1, Target: 4, Image: nan}}, Adaptive: eot},
+	} {
+		start := time.Now()
+		_, err := s.Evaluate(context.Background(), req)
+		if elapsed := time.Since(start); err == nil || elapsed > time.Second {
+			t.Errorf("%s: err = %v after %v, want an error in under 1 s", name, err, elapsed)
+		}
 	}
 }
 
