@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/mathx"
 	"repro/internal/tensor"
 )
 
@@ -100,11 +99,3 @@ type Attack interface {
 
 // clampUnit clips img into the valid pixel range in place.
 func clampUnit(img *tensor.Tensor) { img.Clamp01() }
-
-// clampBall projects adv into the L∞ ball of radius eps around x, in place.
-func clampBall(adv, x *tensor.Tensor, eps float64) {
-	ad, xd := adv.Data(), x.Data()
-	for i := range ad {
-		ad[i] = mathx.Clamp(ad[i], xd[i]-eps, xd[i]+eps)
-	}
-}

@@ -51,31 +51,8 @@ func (b *BIM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal
 	}
 	e := begin(ctx, b.Name())
 	adv := x.Clone()
-	iters := 0
-	for i := 0; i < b.Steps && !e.halt(); i++ {
-		iters = i + 1
-		var grad *tensor.Tensor
-		var step float64
-		if goal.IsTargeted() {
-			_, grad = CELossGrad(c, adv, goal.Target)
-			step = -b.Alpha
-		} else {
-			_, grad = CELossGrad(c, adv, goal.Source)
-			step = +b.Alpha
-		}
-		e.query(1)
-		adv.AddScaled(step, tensor.SignOf(grad))
-		clampBall(adv, x, b.Epsilon)
-		clampUnit(adv)
-		if b.EarlyStop {
-			pred, _ := Predict(c, adv)
-			e.query(1)
-			if goal.achieved(pred) {
-				e.iterDone()
-				break
-			}
-		}
-		e.iterDone()
-	}
+	iters := e.signSteps(c, x, adv, goal, signLoop{
+		steps: b.Steps, alpha: b.Alpha, eps: b.Epsilon, next: e.ceDirection(c, goal), early: b.EarlyStop,
+	})
 	return e.finish(c, x, adv, goal, iters), nil
 }

@@ -262,37 +262,6 @@ func TestFAdeMLEtaQueryAccounting(t *testing.T) {
 	}
 }
 
-// TestUniversalCraftHonoursContext covers the crafting procedure's
-// truncation path: a cancelled context stops the epoch loop and flags the
-// result, and a background run stays untruncated.
-func TestUniversalCraftHonoursContext(t *testing.T) {
-	c := testClassifier(t)
-	imgs := []*tensor.Tensor{
-		gtsrb.Canonical(gtsrb.ClassStop, 16),
-		gtsrb.Canonical(gtsrb.ClassTurnLeft, 16),
-	}
-	u := &Universal{Epsilon: 0.15, StepSize: 0.02, Epochs: 6, TargetRate: 2} // unreachable rate
-	full, err := u.Craft(context.Background(), c, imgs, Goal{Source: 0, Target: Untargeted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Truncated || full.Queries <= 0 {
-		t.Fatalf("background craft: truncated=%v queries=%d", full.Truncated, full.Queries)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := u.Craft(ctx, c, imgs, Goal{Source: 0, Target: Untargeted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Truncated || res.Noise == nil {
-		t.Fatalf("cancelled craft: truncated=%v noise=%v", res.Truncated, res.Noise)
-	}
-	if res.Queries >= full.Queries {
-		t.Fatalf("cancelled craft spent %d queries, full %d", res.Queries, full.Queries)
-	}
-}
-
 // TestBudgetContextPlumbing covers the ctx carriers and Budget helpers.
 func TestBudgetContextPlumbing(t *testing.T) {
 	if !BudgetFrom(context.Background()).Unlimited() {

@@ -56,13 +56,7 @@ func (f *FAdeML) Name() string {
 // filtered classifier per the Result invariant (the η<1 path adds exactly
 // one evaluation for the rescaled image's prediction).
 func (f *FAdeML) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal) (*Result, error) {
-	if f.Base == nil || f.Filter == nil {
-		return nil, fmt.Errorf("attacks: FAdeML needs both a base attack and a filter")
-	}
-	if f.Eta <= 0 || f.Eta > 1 {
-		return nil, fmt.Errorf("attacks: FAdeML eta %v outside (0, 1]", f.Eta)
-	}
-	if err := goal.Validate(c); err != nil {
+	if err := f.validate(c, goal); err != nil {
 		return nil, err
 	}
 	fc := FilteredClassifier{Inner: c, Pre: f.Filter}
@@ -87,6 +81,18 @@ func (f *FAdeML) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, g
 		}, nil
 	}
 	return res, nil
+}
+
+// validate checks the wrapper's configuration and the goal; Generate and
+// GenerateWithTrace share it.
+func (f *FAdeML) validate(c Classifier, goal Goal) error {
+	if f.Base == nil || f.Filter == nil {
+		return fmt.Errorf("attacks: FAdeML needs both a base attack and a filter")
+	}
+	if f.Eta <= 0 || f.Eta > 1 {
+		return fmt.Errorf("attacks: FAdeML eta %v outside (0, 1]", f.Eta)
+	}
+	return goal.Validate(c)
 }
 
 // CostTrace records the Eq. 2 cost-function trajectory of a filter-aware
@@ -123,7 +129,7 @@ func Eq2Cost(probsI, probsII []float64, k int) float64 {
 // iteration; ctx cancellation and budgets truncate the loop like any
 // Generate call, flagging the Result.
 func (f *FAdeML) GenerateWithTrace(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal, steps int, alpha, epsilon float64) (*Result, *CostTrace, error) {
-	if err := goal.Validate(c); err != nil {
+	if err := f.validate(c, goal); err != nil {
 		return nil, nil, err
 	}
 	if !goal.IsTargeted() {
@@ -136,29 +142,17 @@ func (f *FAdeML) GenerateWithTrace(ctx context.Context, c Classifier, x *tensor.
 	e := begin(ctx, f.Name())
 	adv := x.Clone()
 	trace := &CostTrace{}
-	iters := 0
-	for i := 0; i < steps && !e.halt(); i++ {
-		iters = i + 1
-		// Gradient of the targeted loss through the filter (δ/δ f(cost)).
-		_, grad := CELossGrad(fc, adv, goal.Target)
-		e.query(1)
-		adv.AddScaled(-alpha*f.etaOrOne(), tensor.SignOf(grad))
-		clampBall(adv, x, epsilon)
-		clampUnit(adv)
-		// Eq. 2 checkpoint: TM I (direct) vs TM II/III (filtered) views.
-		probsI := Probs(c, adv)
-		probsII := Probs(fc, adv)
-		e.query(2)
-		trace.Steps = append(trace.Steps, Eq2Cost(probsI, probsII, 5))
-		e.iterDone()
-	}
+	// The step descends the targeted loss through the filter (δ/δ f(cost)).
+	iters := e.signSteps(fc, x, adv, goal, signLoop{
+		steps: steps, alpha: alpha * f.Eta, eps: epsilon, next: e.ceDirection(fc, goal),
+		after: func(adv *tensor.Tensor) {
+			// Eq. 2 checkpoint: TM I (direct) vs TM II/III (filtered) views.
+			probsI := Probs(c, adv)
+			probsII := Probs(fc, adv)
+			e.query(2)
+			trace.Steps = append(trace.Steps, Eq2Cost(probsI, probsII, 5))
+		},
+	})
 	res := e.finish(fc, x, adv, goal, iters)
 	return res, trace, nil
-}
-
-func (f *FAdeML) etaOrOne() float64 {
-	if f.Eta > 0 && f.Eta <= 1 {
-		return f.Eta
-	}
-	return 1
 }

@@ -164,6 +164,18 @@ func TestGenerateWithTraceValidation(t *testing.T) {
 	if _, _, err := f.GenerateWithTrace(context.Background(), c, img, Goal{Source: label, Target: 1}, 0, 0.01, 0.1); err == nil {
 		t.Fatal("zero steps accepted")
 	}
+	// The trace shares Generate's checks rather than panicking on a nil
+	// component or silently replacing an out-of-range eta.
+	for name, bad := range map[string]*FAdeML{
+		"nil base":   {Base: nil, Filter: filters.NewLAP(4), Eta: 1},
+		"nil filter": {Base: NewBIM(), Filter: nil, Eta: 1},
+		"eta > 1":    {Base: NewBIM(), Filter: filters.NewLAP(4), Eta: 2},
+		"eta = 0":    {Base: NewBIM(), Filter: filters.NewLAP(4), Eta: 0},
+	} {
+		if _, _, err := bad.GenerateWithTrace(context.Background(), c, img, Goal{Source: label, Target: 1}, 5, 0.01, 0.1); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 // TestFilteredClassifierGradientChain verifies the composed VJP against

@@ -40,22 +40,9 @@ func (f *FGSM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goa
 	}
 	e := begin(ctx, f.Name())
 	adv := x.Clone()
-	iters := 0
-	if !e.halt() {
-		var grad *tensor.Tensor
-		var step float64
-		if goal.IsTargeted() {
-			_, grad = CELossGrad(c, x, goal.Target)
-			step = -f.Epsilon // descend toward the target class
-		} else {
-			_, grad = CELossGrad(c, x, goal.Source)
-			step = +f.Epsilon // ascend away from the source class
-		}
-		e.query(1)
-		adv.AddScaled(step, tensor.SignOf(grad))
-		clampUnit(adv)
-		e.iterDone()
-		iters = 1
-	}
+	// One step of α = ε: the ε-ball projection cannot bind.
+	iters := e.signSteps(c, x, adv, goal, signLoop{
+		steps: 1, alpha: f.Epsilon, eps: f.Epsilon, next: e.ceDirection(c, goal),
+	})
 	return e.finish(c, x, adv, goal, iters), nil
 }

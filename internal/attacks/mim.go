@@ -54,38 +54,19 @@ func (m *MIM) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal
 	}
 	e := begin(ctx, m.Name())
 	adv := x.Clone()
+	ce := e.ceDirection(c, goal)
 	momentum := tensor.New(x.Shape()...)
-	iters := 0
-	for i := 0; i < m.Steps && !e.halt(); i++ {
-		iters = i + 1
-		var grad *tensor.Tensor
-		var dir float64
-		if goal.IsTargeted() {
-			_, grad = CELossGrad(c, adv, goal.Target)
-			dir = -1
-		} else {
-			_, grad = CELossGrad(c, adv, goal.Source)
-			dir = +1
-		}
-		e.query(1)
-		// g_{t+1} = μ·g_t + grad/‖grad‖₁
-		l1 := grad.L1Norm()
-		if l1 > 0 {
-			momentum.ScaleInPlace(m.Decay)
-			momentum.AddScaled(1/l1, grad)
-		}
-		adv.AddScaled(dir*m.Alpha, tensor.SignOf(momentum))
-		clampBall(adv, x, m.Epsilon)
-		clampUnit(adv)
-		if m.EarlyStop {
-			pred, _ := Predict(c, adv)
-			e.query(1)
-			if goal.achieved(pred) {
-				e.iterDone()
-				break
+	iters := e.signSteps(c, x, adv, goal, signLoop{
+		steps: m.Steps, alpha: m.Alpha, eps: m.Epsilon, early: m.EarlyStop,
+		next: func(adv *tensor.Tensor) (*tensor.Tensor, float64) {
+			grad, dir := ce(adv)
+			// g_{t+1} = μ·g_t + grad/‖grad‖₁
+			if l1 := grad.L1Norm(); l1 > 0 {
+				momentum.ScaleInPlace(m.Decay)
+				momentum.AddScaled(1/l1, grad)
 			}
-		}
-		e.iterDone()
-	}
+			return momentum, dir
+		},
+	})
 	return e.finish(c, x, adv, goal, iters), nil
 }

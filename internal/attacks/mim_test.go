@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gtsrb"
-	"repro/internal/tensor"
 )
 
 func TestMIMTargeted(t *testing.T) {
@@ -61,62 +60,5 @@ func TestMIMInLibrary(t *testing.T) {
 	}
 	if atk.Name() == "" {
 		t.Fatal("library MIM nameless")
-	}
-}
-
-func TestUniversalTargetedPerturbation(t *testing.T) {
-	c := testClassifier(t)
-	// Crafting set: canonical images of three non-target classes.
-	imgs := []*tensor.Tensor{
-		gtsrb.Canonical(gtsrb.ClassStop, 16),
-		gtsrb.Canonical(gtsrb.ClassTurnLeft, 16),
-		gtsrb.Canonical(gtsrb.ClassTurnRight, 16),
-	}
-	u := &Universal{Epsilon: 0.15, StepSize: 0.02, Epochs: 12, TargetRate: 0.99}
-	res, err := u.Craft(context.Background(), c, imgs, Goal{Source: 0, Target: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Noise.LInfNorm() > 0.15+1e-9 {
-		t.Fatalf("universal noise %v exceeds budget", res.Noise.LInfNorm())
-	}
-	if res.FoolingRate < 1.0/3 {
-		t.Fatalf("universal perturbation fooled only %.2f of the crafting set", res.FoolingRate)
-	}
-}
-
-func TestUniversalUntargeted(t *testing.T) {
-	c := testClassifier(t)
-	imgs := []*tensor.Tensor{
-		gtsrb.Canonical(gtsrb.ClassStop, 16),
-		gtsrb.Canonical(gtsrb.ClassSpeed60, 16),
-		gtsrb.Canonical(gtsrb.ClassTurnLeft, 16),
-		gtsrb.Canonical(gtsrb.ClassTurnRight, 16),
-	}
-	u := &Universal{Epsilon: 0.2, StepSize: 0.03, Epochs: 10, TargetRate: 0.75}
-	res, err := u.Craft(context.Background(), c, imgs, Goal{Source: 0, Target: Untargeted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FoolingRate < 0.5 {
-		t.Fatalf("untargeted universal fooling rate %.2f too low", res.FoolingRate)
-	}
-}
-
-func TestUniversalValidation(t *testing.T) {
-	c := testClassifier(t)
-	img := gtsrb.Canonical(gtsrb.ClassStop, 16)
-	if _, err := NewUniversal().Craft(context.Background(), c, nil, Goal{Target: 1}); err == nil {
-		t.Error("empty crafting set accepted")
-	}
-	if _, err := (&Universal{Epsilon: 0, StepSize: 0.01, Epochs: 1}).Craft(context.Background(), c, []*tensor.Tensor{img}, Goal{Target: 1}); err == nil {
-		t.Error("zero epsilon accepted")
-	}
-	if _, err := NewUniversal().Craft(context.Background(), c, []*tensor.Tensor{img}, Goal{Target: 99}); err == nil {
-		t.Error("out-of-range target accepted")
-	}
-	mixed := []*tensor.Tensor{img, gtsrb.Canonical(gtsrb.ClassStop, 24)}
-	if _, err := NewUniversal().Craft(context.Background(), c, mixed, Goal{Target: 1}); err == nil {
-		t.Error("mixed-shape crafting set accepted")
 	}
 }

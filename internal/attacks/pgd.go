@@ -53,6 +53,7 @@ func (p *PGD) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal
 	}
 	e := begin(ctx, p.Name())
 	rng := mathx.NewRNG(p.Seed)
+	ce := e.ceDirection(c, goal)
 	var best *Result
 	for r := 0; r < p.Restarts && !e.halt(); r++ {
 		adv := x.Clone()
@@ -60,24 +61,9 @@ func (p *PGD) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goal
 		for i, v := range adv.Data() {
 			adv.Data()[i] = mathx.Clamp01(v + rng.Range(-p.Epsilon, p.Epsilon))
 		}
-		iters := 0
-		for i := 0; i < p.Steps && !e.halt(); i++ {
-			iters = i + 1
-			var grad *tensor.Tensor
-			var step float64
-			if goal.IsTargeted() {
-				_, grad = CELossGrad(c, adv, goal.Target)
-				step = -p.Alpha
-			} else {
-				_, grad = CELossGrad(c, adv, goal.Source)
-				step = +p.Alpha
-			}
-			e.query(1)
-			adv.AddScaled(step, tensor.SignOf(grad))
-			clampBall(adv, x, p.Epsilon)
-			clampUnit(adv)
-			e.iterDone()
-		}
+		iters := e.signSteps(c, x, adv, goal, signLoop{
+			steps: p.Steps, alpha: p.Alpha, eps: p.Epsilon, next: ce,
+		})
 		res := e.finish(c, x, adv, goal, iters)
 		if best == nil || (res.Success && !best.Success) ||
 			(res.Success == best.Success && res.Confidence > best.Confidence) {

@@ -3,9 +3,9 @@ package attacks
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
+	"repro/internal/nn"
 	"repro/internal/spec"
 	"repro/internal/tensor"
 )
@@ -63,14 +63,13 @@ func (s *SPSA) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goa
 	rng := mathx.NewRNG(s.Seed)
 	n := x.Len()
 	adv := x.Clone()
-	iters := 0
 
 	// margin returns the quantity to *descend*: targeted → loss of the
 	// target class; untargeted → negative loss of the source class.
 	margin := func(img *tensor.Tensor) float64 {
 		logits := c.Logits(img)
 		e.query(1)
-		logp := logSoftmax(logits)
+		logp := nn.LogSoftmax(logits)
 		if goal.IsTargeted() {
 			return -logp[goal.Target]
 		}
@@ -80,8 +79,8 @@ func (s *SPSA) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goa
 	dir := tensor.New(x.Shape()...)
 	probe := tensor.New(x.Shape()...)
 	grad := tensor.New(x.Shape()...)
-	for i := 0; i < s.Steps && !e.halt(); i++ {
-		iters = i + 1
+	// estimate is the finite-difference gradient of margin at adv.
+	estimate := func(adv *tensor.Tensor) (*tensor.Tensor, float64) {
 		grad.Zero()
 		for k := 0; k < s.Samples; k++ {
 			// Rademacher ±1 direction.
@@ -106,36 +105,10 @@ func (s *SPSA) Generate(ctx context.Context, c Classifier, x *tensor.Tensor, goa
 			coeff := (fPlus - fMinus) / (2 * s.Delta * float64(s.Samples))
 			grad.AddScaled(coeff, dir)
 		}
-		adv.AddScaled(-s.Alpha, tensor.SignOf(grad))
-		clampBall(adv, x, s.Epsilon)
-		clampUnit(adv)
-		pred, _ := Predict(c, adv)
-		e.query(1)
-		if goal.achieved(pred) {
-			e.iterDone()
-			break
-		}
-		e.iterDone()
+		return grad, -1
 	}
+	iters := e.signSteps(c, x, adv, goal, signLoop{
+		steps: s.Steps, alpha: s.Alpha, eps: s.Epsilon, next: estimate, early: true,
+	})
 	return e.finish(c, x, adv, goal, iters), nil
-}
-
-// logSoftmax is a local stable log-softmax (avoids importing nn here).
-func logSoftmax(logits []float64) []float64 {
-	maxV := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for _, v := range logits {
-		sum += math.Exp(v - maxV)
-	}
-	logSum := maxV + math.Log(sum)
-	out := make([]float64, len(logits))
-	for i, v := range logits {
-		out[i] = v - logSum
-	}
-	return out
 }
