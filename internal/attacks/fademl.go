@@ -124,10 +124,11 @@ func Eq2Cost(probsI, probsII []float64, k int) float64 {
 // filter-aware descent whose per-step cost compares the unfiltered (TM I)
 // and filtered (TM II/III) views of the current adversarial example.
 //
-// steps and alpha control the iteration count and step size; epsilon is
-// the L∞ budget. The returned trace has one entry per completed
-// iteration; ctx cancellation and budgets truncate the loop like any
-// Generate call, flagging the Result.
+// steps and alpha control the iteration count and step size (each step
+// moves α·Eta); epsilon is the L∞ budget. The wrapper and goal are checked
+// as in Generate, and the goal must be targeted. The returned trace has
+// one entry per completed iteration; ctx cancellation and budgets truncate
+// the loop like any Generate call, flagging the Result.
 func (f *FAdeML) GenerateWithTrace(ctx context.Context, c Classifier, x *tensor.Tensor, goal Goal, steps int, alpha, epsilon float64) (*Result, *CostTrace, error) {
 	if err := f.validate(c, goal); err != nil {
 		return nil, nil, err

@@ -24,10 +24,10 @@ type signLoop struct {
 }
 
 // signSteps runs l from adv, in place, inside the L∞ ball of radius l.eps
-// around x. Each step is adv ← clip[0,1](clip_ε(x)(adv + dir·α·sign(d))).
-// It checks halt before every step, so it defines query accounting, early
-// stop and truncation for the whole sign family, and returns the number of
-// steps taken.
+// around x: each step is adv ← clip[0,1](clip_ε(x)(adv + dir·α·sign(d))).
+// It is the sign family's one definition of the budget check (halt before
+// every step), the early stop and the iteration bookkeeping. It returns
+// the number of steps taken.
 func (e *exec) signSteps(c Classifier, x, adv *tensor.Tensor, goal Goal, l signLoop) int {
 	iters := 0
 	for ; iters < l.steps && !e.halt(); iters++ {

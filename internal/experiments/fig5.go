@@ -16,7 +16,7 @@ import (
 // buildAttack constructs a library attack with the experiment budgets used
 // across all figures (slightly larger than the library defaults so the
 // targeted payloads of the scenario table succeed reliably on the scaled
-// VGG; recorded in EXPERIMENTS.md).
+// VGG; tabled as spec strings under "Figure budgets" in ATTACKS.md).
 func buildAttack(name string) (attacks.Attack, error) {
 	switch name {
 	case "fgsm":
