@@ -189,3 +189,16 @@ func TestInputGradDigest(t *testing.T) {
 	}
 	checkDigest(t, "float64 canonical input grads", d.sum(), "d51cc942c05216e67e500ea3bb1625a636b8adddf2bc5cc074ebdec6c2ac419e")
 }
+
+// TestTinyWeightsDigest pins the trained tiny-profile weights bit for bit:
+// the content hash of the network NewEnv trains from scratch. Every other
+// digest here depends on these weights, so a change to training (the
+// optimizer, the loss, the shuffle, the layer backward passes) fails this
+// test first and names the cause.
+func TestTinyWeightsDigest(t *testing.T) {
+	got, err := tinyEnv(t).Net.WeightHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, "tiny-profile weights", got, "c573c2859baefbe748b9e58e387270dac8a190e3d349b5d26956e7aca390a48f")
+}
