@@ -27,6 +27,7 @@ import (
 	"os"
 
 	fademl "repro"
+	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -60,10 +61,10 @@ func main() {
 	fmt.Printf("profile %s: %d train / %d test images, clean top-1 %.2f%%, top-5 %.2f%%\n",
 		p.Name, env.TrainSet.Len(), env.TestSet.Len(), 100*env.CleanTop1, 100*env.CleanTop5)
 	if filter != nil {
-		m := train.EvaluateBatchWorkers(env.Net, env.TestSet,
+		m := train.Evaluate(train.Clones(env.Net, parallel.Workers()), env.TestSet,
 			func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 				return filter.ApplyBatch(imgs)
-			}, 0)
+			})
 		fmt.Printf("through %s: top-1 %.2f%%, top-5 %.2f%% (accuracy cost %.2f points top-1)\n",
 			filter.Name(), 100*m.Top1, 100*m.Top5, 100*(env.CleanTop1-m.Top1))
 	}

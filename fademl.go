@@ -253,8 +253,7 @@ func IsStochasticFilter(f Filter) bool { return filters.IsStochastic(f) }
 func FilterChain(fs ...Filter) Filter { return filters.Chain(fs) }
 
 // NewNamedFilter builds a default-configured filter from the registry by
-// name: bilateral, bitdepth, box, gaussian, grayscale, histeq, jpeg,
-// lap, lar, median, nlm, normalize, tv.
+// name; FilterNames lists every accepted name.
 func NewNamedFilter(name string) (Filter, error) { return filters.New(name) }
 
 // FilterNames lists the registered filter names.
@@ -291,26 +290,6 @@ func ParseAdaptive(spec string) (AdaptiveMode, error) { return attacks.ParseAdap
 // is spent, returning the best-so-far result flagged Truncated.
 func WithBudget(ctx context.Context, b Budget) context.Context {
 	return attacks.WithBudget(ctx, b)
-}
-
-// NewFGSM builds a fast-gradient-sign attack with an explicit L∞ budget.
-func NewFGSM(epsilon float64) Attack { return &attacks.FGSM{Epsilon: epsilon} }
-
-// NewBIM builds a basic-iterative-method attack with an explicit budget:
-// total L∞ epsilon, per-step alpha and iteration count.
-func NewBIM(epsilon, alpha float64, steps int) Attack {
-	return &attacks.BIM{Epsilon: epsilon, Alpha: alpha, Steps: steps, EarlyStop: true}
-}
-
-// NewLBFGSAttack builds the box-constrained L-BFGS attack with an explicit
-// iteration budget per penalty value.
-func NewLBFGSAttack(maxIter int) Attack {
-	return &attacks.LBFGS{InitialC: 10, CSteps: 6, MaxIter: maxIter}
-}
-
-// NewCW builds the Carlini & Wagner L2 attack with confidence margin kappa.
-func NewCW(kappa float64) Attack {
-	return &attacks.CW{Kappa: kappa, Steps: 150, LR: 0.05, InitialC: 5, BinarySearch: 3}
 }
 
 // AttackNames lists the registered attack names.
@@ -459,8 +438,9 @@ func NewEnv(p Profile, cacheDir string, log io.Writer) (*Env, error) {
 	return experiments.NewEnv(p, cacheDir, log)
 }
 
-// Figure runners (see EXPERIMENTS.md for the paper mapping). All of them
-// honour ctx: cancellation aborts the sweep with the context error.
+// Figure runners (cmd/fademl-bench prints them; ATTACKS.md "Figure
+// budgets" lists each figure's attack specs). All of them honour ctx:
+// cancellation aborts the sweep with the context error.
 // attackNames entries may be registry names or parameterized spec strings.
 
 // RunFig5 regenerates Fig. 5 (attacks under Threat Model I).

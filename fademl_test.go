@@ -47,9 +47,12 @@ func TestFacadeAttackRegistry(t *testing.T) {
 }
 
 func TestFacadeAttackConstructors(t *testing.T) {
-	for _, a := range []Attack{NewFGSM(0.05), NewBIM(0.1, 0.01, 10), NewLBFGSAttack(20), NewCW(0)} {
-		if a.Name() == "" {
-			t.Error("constructor produced nameless attack")
+	for _, spec := range []string{"fgsm(eps=0.05)", "bim(eps=0.1,alpha=0.01,steps=10)", "lbfgs(c=10,csteps=6,iters=20)", "cw(kappa=0)"} {
+		a, err := ParseAttack(spec)
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+		} else if a.Name() == "" {
+			t.Errorf("%s: nameless attack", spec)
 		}
 	}
 }

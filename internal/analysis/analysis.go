@@ -1,7 +1,7 @@
 // Package analysis implements the paper's Section III analysis
-// methodology: top-k prediction extraction, the Eq. 2 cost function
-// comparing classification probabilities across threat models, and
-// accuracy evaluation of a full inference pipeline under attack.
+// methodology: the Eq. 2 cost function comparing classification
+// probabilities across threat models, and the Fig. 3 comparison of one
+// adversarial example under TM I and TM II/III.
 package analysis
 
 import (
@@ -12,24 +12,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
-
-// ClassProb pairs a class id with its predicted probability.
-type ClassProb struct {
-	Class int
-	Prob  float64
-}
-
-// TopK returns the k highest-probability classes in descending order.
-func TopK(probs []float64, k int) []ClassProb {
-	idx := mathx.TopKIndices(probs, k)
-	out := make([]ClassProb, len(idx))
-	for i, c := range idx {
-		out[i] = ClassProb{Class: c, Prob: probs[c]}
-	}
-	return out
-}
 
 // Eq2Cost is the paper's Eq. 2: the summed top-k probability mass under
 // Threat Model I minus that under Threat Model II/III. It delegates to the
@@ -119,24 +102,4 @@ func (c Comparison) String() string {
 		sb.WriteString(" | NEUTRALIZED")
 	}
 	return sb.String()
-}
-
-// PipelineAccuracy evaluates top-1/top-5 accuracy of the pipeline over a
-// dataset with every sample passing the given threat-model path;
-// perturb may be nil (clean evaluation) or return the attacked version of
-// sample i. Every delivery path — including TM-II sensor noise, which is
-// a pure function of (seed, image) — is pure per sample, so evaluation
-// fans out over the worker pool with results identical to a serial run.
-func PipelineAccuracy(p *pipeline.Pipeline, ds train.Dataset, tm pipeline.ThreatModel, perturb func(img *tensor.Tensor, i int) *tensor.Tensor) train.Metrics {
-	return train.EvaluateBatchWorkers(p.Net, ds, func(imgs []*tensor.Tensor, idx []int) []*tensor.Tensor {
-		if perturb != nil {
-			perturbed := make([]*tensor.Tensor, len(imgs))
-			for j, img := range imgs {
-				perturbed[j] = perturb(img, idx[j])
-			}
-			imgs = perturbed
-		}
-		// Delivery runs batched so the filter stage uses ApplyBatch.
-		return p.DeliverBatch(imgs, tm)
-	}, 0)
 }

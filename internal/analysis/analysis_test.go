@@ -17,23 +17,6 @@ import (
 	"repro/internal/train"
 )
 
-func TestTopK(t *testing.T) {
-	probs := []float64{0.1, 0.5, 0.05, 0.3, 0.05}
-	top := TopK(probs, 3)
-	if len(top) != 3 {
-		t.Fatalf("TopK len = %d", len(top))
-	}
-	if top[0].Class != 1 || top[1].Class != 3 || top[2].Class != 0 {
-		t.Fatalf("TopK order wrong: %+v", top)
-	}
-	if top[0].Prob != 0.5 {
-		t.Fatalf("TopK prob wrong: %+v", top[0])
-	}
-	if got := TopK(probs, 99); len(got) != len(probs) {
-		t.Fatalf("TopK with k>len = %d entries", len(got))
-	}
-}
-
 func TestEq2CostDelegation(t *testing.T) {
 	a := []float64{0.8, 0.1, 0.05, 0.03, 0.01, 0.01}
 	b := []float64{0.3, 0.3, 0.2, 0.1, 0.05, 0.05}
@@ -157,34 +140,6 @@ func TestCompareRejectsTM1(t *testing.T) {
 		}
 	}()
 	Compare(p, img, img, 0, 1, pipeline.TM1, "x")
-}
-
-func TestPipelineAccuracy(t *testing.T) {
-	net := fixtureNet(t)
-	p := pipeline.New(net, filters.NewLAP(4), nil)
-	ds, err := gtsrb.Generate(gtsrb.Config{
-		Size: 16, PerClass: 10, Seed: 77,
-		Classes: []int{gtsrb.ClassStop, gtsrb.ClassSpeed60},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remap := map[int]int{gtsrb.ClassStop: 0, gtsrb.ClassSpeed60: 1}
-	rds := remapDS{ds, remap}
-
-	clean := PipelineAccuracy(p, rds, pipeline.TM3, nil)
-	if clean.Top1 < 0.8 {
-		t.Fatalf("clean filtered accuracy %.2f too low", clean.Top1)
-	}
-	// Destroying inputs craters accuracy through the same path.
-	destroyed := PipelineAccuracy(p, rds, pipeline.TM3, func(img *tensor.Tensor, _ int) *tensor.Tensor {
-		out := img.Clone()
-		out.Fill(0.5)
-		return out
-	})
-	if destroyed.Top1 >= clean.Top1 {
-		t.Fatalf("destroyed accuracy %.2f not below clean %.2f", destroyed.Top1, clean.Top1)
-	}
 }
 
 func TestCostFieldMatchesManualEq2(t *testing.T) {

@@ -11,8 +11,6 @@
 package attacks
 
 import (
-	"math"
-
 	"repro/internal/filters"
 	"repro/internal/mathx"
 	"repro/internal/nn"
@@ -147,18 +145,9 @@ func Predict(c Classifier, x *tensor.Tensor) (int, float64) {
 func CELossGrad(c Classifier, x *tensor.Tensor, class int) (float64, *tensor.Tensor) {
 	var loss float64
 	_, grad := c.GradFromLogits(x, func(logits []float64) []float64 {
-		logp := nn.LogSoftmax(logits)
-		loss = -logp[class]
-		d := make([]float64, len(logits))
-		for i := range d {
-			p := math.Exp(logp[i])
-			if i == class {
-				d[i] = p - 1
-			} else {
-				d[i] = p
-			}
-		}
-		return d
+		l, d := nn.CrossEntropy{}.Eval(tensor.FromSlice(logits, 1, len(logits)), []int{class})
+		loss = l
+		return d.Data()
 	})
 	return loss, grad
 }

@@ -39,7 +39,7 @@ func RunFilterStrengthAblation(env *Env) []FilterStrengthPoint {
 	var out []FilterStrengthPoint
 	nets := env.workerNets(gridWorkers(ds.Len()))
 	for _, f := range grid {
-		m := train.EvaluateOnBatch(nets, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+		m := train.Evaluate(nets, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 			return f.ApplyBatch(imgs)
 		})
 		taps := 1
@@ -130,7 +130,7 @@ type FootprintPoint struct {
 
 // RunFootprintAblation contrasts the paper's circular LAR footprint with a
 // square box filter of the same radius on clean accuracy. Each grid cell
-// is one full evaluation fanned out over the worker pool via EvaluateOn
+// is one full evaluation fanned out over the worker pool via train.Evaluate
 // (per-sample parallelism scales past the 2 × len(radii) cell count and
 // is bit-identical to serial by construction).
 func RunFootprintAblation(env *Env, radii []int) []FootprintPoint {
@@ -140,7 +140,7 @@ func RunFootprintAblation(env *Env, radii []int) []FootprintPoint {
 	ds := env.evalSubset()
 	nets := env.workerNets(gridWorkers(ds.Len()))
 	eval := func(f filters.Filter) float64 {
-		return train.EvaluateOnBatch(nets, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+		return train.Evaluate(nets, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 			return f.ApplyBatch(imgs)
 		}).Top5
 	}

@@ -63,9 +63,6 @@ func gridWorkers(n int) int {
 	return w
 }
 
-// DefaultCacheDir is where trained weights are memoized between runs.
-func DefaultCacheDir() string { return filepath.Join("testdata", "cache") }
-
 // NewEnv generates the datasets and loads the profile's model from the
 // weight cache, training (and caching) it on a miss. cacheDir may be empty
 // to disable caching; log may be nil.
@@ -139,7 +136,7 @@ func NewEnv(p Profile, cacheDir string, log io.Writer) (*Env, error) {
 	}
 	// Evaluate through the env's clone cache so the worker networks (and
 	// their scratch buffers) are warm for the figure runners that follow.
-	m := train.EvaluateOn(env.workerNets(gridWorkers(testSet.Len())), testSet, nil)
+	m := train.Evaluate(env.workerNets(gridWorkers(testSet.Len())), testSet, nil)
 	if log != nil {
 		fmt.Fprintf(log, "clean test accuracy: %s\n", m)
 	}

@@ -64,7 +64,7 @@ func RunFig6(ctx context.Context, env *Env, attackNames []string) (*Fig6Result, 
 	n := ds.Len()
 	res := &Fig6Result{
 		ProfileName: env.Profile.Name,
-		Baseline:    train.EvaluateOn(env.workerNets(gridWorkers(n)), ds, nil),
+		Baseline:    train.Evaluate(env.workerNets(gridWorkers(n)), ds, nil),
 		Samples:     n,
 	}
 	advs, err := craftStream(ctx, env, PaperScenarios, ds, atks, []filters.Filter{filters.Identity{}}, blind)
@@ -74,7 +74,7 @@ func RunFig6(ctx context.Context, env *Env, attackNames []string) (*Fig6Result, 
 	for a, name := range attackNames {
 		for s, sc := range PaperScenarios {
 			set := advs[(a*len(PaperScenarios)+s)*n:][:n]
-			m := train.EvaluateOn(env.workerNets(gridWorkers(n)), newSliceDataset(set, ds), nil)
+			m := train.Evaluate(env.workerNets(gridWorkers(n)), newSliceDataset(set, ds), nil)
 			res.Cells = append(res.Cells, Fig6Cell{
 				Scenario:   sc,
 				AttackName: attackLabel(name),

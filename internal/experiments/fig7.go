@@ -137,7 +137,7 @@ func RunFig7(ctx context.Context, env *Env, opt SweepOptions) (*Fig7Result, erro
 // panel. Panels are a grid of attacks × filters × scenarios on
 // core.RunGrid; the curves are one craftStream grid per curve scenario,
 // with the attacked subset on the case axis, reduced per (attack, filter)
-// by train.EvaluateOnBatch.
+// by train.Evaluate.
 func runFilterSweep(ctx context.Context, env *Env, opt SweepOptions, filterAware bool) (*Fig7Result, error) {
 	grid, err := opt.filterGrid()
 	if err != nil {
@@ -214,7 +214,7 @@ func runFilterSweep(ctx context.Context, env *Env, opt SweepOptions, filterAware
 				}
 				p := pipeline.New(env.Net, f, nil)
 				// Delivery runs batched through Filter.ApplyBatch.
-				m := train.EvaluateOnBatch(env.workerNets(gridWorkers(n)), eval,
+				m := train.Evaluate(env.workerNets(gridWorkers(n)), eval,
 					func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 						return p.DeliverBatch(imgs, pipeline.TM3)
 					})

@@ -112,11 +112,11 @@ func TestFig9ParallelMatchesSerial(t *testing.T) {
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	env := tinyEnv(t)
 	ds := env.TestSet.Subset(30)
-	want := train.EvaluateWorkers(env.Net, ds, nil, 1)
+	want := train.Evaluate(train.Clones(env.Net, 1), ds, nil)
 	for _, w := range []int{2, 4, 9} {
-		got := train.EvaluateWorkers(env.Net, ds, nil, w)
+		got := train.Evaluate(train.Clones(env.Net, w), ds, nil)
 		if got != want {
-			t.Errorf("EvaluateWorkers(%d) = %+v, serial = %+v", w, got, want)
+			t.Errorf("Evaluate on %d workers = %+v, serial = %+v", w, got, want)
 		}
 	}
 }

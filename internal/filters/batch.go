@@ -22,7 +22,7 @@ func SerialBatch(f Filter, imgs []*tensor.Tensor) []*tensor.Tensor {
 // the output is bit-identical to SerialBatch regardless of worker count.
 //
 // When the caller is itself a pool worker (an evaluation mini-batch
-// inside train.EvaluateOnBatch, a grid cell of a figure sweep), the
+// inside train.Evaluate, a grid cell of a figure sweep), the
 // CPU is already saturated — a nested fan-out would spawn up to
 // workers² runnable goroutines for no throughput. parallel.Active
 // detects that and degrades to the inline serial loop, which produces

@@ -70,12 +70,3 @@ func (f *LAP) Params() []Param {
 			&f.np, 1, 1024).Then(f.rebuild),
 	}
 }
-
-// NewPaperLAPs returns the five LAP configurations of the paper's sweep.
-func NewPaperLAPs() []Filter {
-	out := make([]Filter, len(PaperLAPSizes))
-	for i, np := range PaperLAPSizes {
-		out[i] = NewLAP(np)
-	}
-	return out
-}

@@ -60,12 +60,3 @@ func (f *LAR) Params() []Param {
 			&f.r, 1, maxRadius).Then(f.rebuild),
 	}
 }
-
-// NewPaperLARs returns the five LAR configurations of the paper's sweep.
-func NewPaperLARs() []Filter {
-	out := make([]Filter, len(PaperLARRadii))
-	for i, r := range PaperLARRadii {
-		out[i] = NewLAR(r)
-	}
-	return out
-}

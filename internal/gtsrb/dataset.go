@@ -114,17 +114,6 @@ func (d *Dataset) Subset(n int) *Dataset {
 	return &Dataset{imgs: d.imgs[:n], labels: d.labels[:n], size: d.size}
 }
 
-// FirstOfClass returns the index of the first sample with the given label,
-// or -1 when the class is absent.
-func (d *Dataset) FirstOfClass(label int) int {
-	for i, l := range d.labels {
-		if l == label {
-			return i
-		}
-	}
-	return -1
-}
-
 // ClassCounts tallies samples per class id.
 func (d *Dataset) ClassCounts() map[int]int {
 	counts := make(map[int]int)

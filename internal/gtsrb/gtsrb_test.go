@@ -303,7 +303,7 @@ func TestSplitBadFractionPanics(t *testing.T) {
 	}
 }
 
-func TestSubsetAndFirstOfClass(t *testing.T) {
+func TestSubset(t *testing.T) {
 	ds, _ := Generate(Config{Size: 16, PerClass: 2, Seed: 4, Classes: []int{5, 7}})
 	sub := ds.Subset(3)
 	if sub.Len() != 3 {
@@ -311,14 +311,6 @@ func TestSubsetAndFirstOfClass(t *testing.T) {
 	}
 	if ds.Subset(100).Len() != 4 {
 		t.Fatal("Subset with n>len wrong")
-	}
-	if idx := ds.FirstOfClass(5); idx < 0 {
-		t.Fatal("FirstOfClass missed an existing class")
-	} else if _, l := ds.Sample(idx); l != 5 {
-		t.Fatal("FirstOfClass returned wrong sample")
-	}
-	if ds.FirstOfClass(9) != -1 {
-		t.Fatal("FirstOfClass found absent class")
 	}
 }
 

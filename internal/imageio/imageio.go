@@ -1,6 +1,6 @@
 // Package imageio converts between the repository's CHW float64 tensors
-// and Go's image types, with PNG save/load, montage grids and an ASCII
-// preview for terminal debugging.
+// and Go's image types, with PNG save/load and an ASCII preview for
+// terminal debugging.
 package imageio
 
 import (
@@ -8,7 +8,6 @@ import (
 	"image"
 	"image/color"
 	"image/png"
-	"io"
 	"os"
 	"strings"
 
@@ -79,15 +78,6 @@ func SavePNG(t *tensor.Tensor, path string) error {
 	return f.Close()
 }
 
-// EncodePNG writes a CHW tensor as PNG to w.
-func EncodePNG(t *tensor.Tensor, w io.Writer) error {
-	img, err := ToImage(t)
-	if err != nil {
-		return err
-	}
-	return png.Encode(w, img)
-}
-
 // LoadPNG reads a PNG file into a 3-channel CHW tensor.
 func LoadPNG(path string) (*tensor.Tensor, error) {
 	f, err := os.Open(path)
@@ -100,40 +90,6 @@ func LoadPNG(path string) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("imageio: decoding %s: %w", path, err)
 	}
 	return FromImage(img), nil
-}
-
-// Montage arranges equal-sized CHW tensors into a grid with cols columns
-// (rows grow as needed), separated by a 1-pixel mid-gray gutter.
-func Montage(tiles []*tensor.Tensor, cols int) (*tensor.Tensor, error) {
-	if len(tiles) == 0 {
-		return nil, fmt.Errorf("imageio: empty montage")
-	}
-	if cols <= 0 {
-		cols = len(tiles)
-	}
-	c, h, w := tiles[0].Dim(0), tiles[0].Dim(1), tiles[0].Dim(2)
-	for i, tile := range tiles {
-		if tile.Dims() != 3 || tile.Dim(0) != c || tile.Dim(1) != h || tile.Dim(2) != w {
-			return nil, fmt.Errorf("imageio: tile %d shape %v differs from %v", i, tile.Shape(), tiles[0].Shape())
-		}
-	}
-	rows := (len(tiles) + cols - 1) / cols
-	const gut = 1
-	outH := rows*h + (rows-1)*gut
-	outW := cols*w + (cols-1)*gut
-	out := tensor.Full(0.5, c, outH, outW)
-	for i, tile := range tiles {
-		r, cl := i/cols, i%cols
-		oy, ox := r*(h+gut), cl*(w+gut)
-		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					out.Set(tile.At(ch, y, x), ch, oy+y, ox+x)
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // ASCII renders a CHW tensor as a luminance character grid for quick

@@ -1,7 +1,6 @@
 package imageio
 
 import (
-	"bytes"
 	"image"
 	"image/color"
 	"path/filepath"
@@ -105,66 +104,6 @@ func TestSaveLoadPNG(t *testing.T) {
 func TestLoadPNGErrors(t *testing.T) {
 	if _, err := LoadPNG(filepath.Join(t.TempDir(), "missing.png")); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestEncodePNG(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodePNG(tensor.Full(0.5, 3, 4, 4), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || !bytes.HasPrefix(buf.Bytes(), []byte("\x89PNG")) {
-		t.Fatal("EncodePNG did not produce a PNG stream")
-	}
-}
-
-func TestMontageLayout(t *testing.T) {
-	tiles := []*tensor.Tensor{
-		tensor.Full(0.1, 3, 4, 4),
-		tensor.Full(0.9, 3, 4, 4),
-		tensor.Full(0.4, 3, 4, 4),
-	}
-	m, err := Montage(tiles, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 rows x 2 cols with 1px gutters: 2*4+1 = 9 high, 9 wide.
-	if m.Dim(1) != 9 || m.Dim(2) != 9 {
-		t.Fatalf("montage shape = %v", m.Shape())
-	}
-	if m.At(0, 0, 0) != 0.1 {
-		t.Fatal("tile 0 misplaced")
-	}
-	if m.At(0, 0, 5) != 0.9 {
-		t.Fatal("tile 1 misplaced")
-	}
-	if m.At(0, 5, 0) != 0.4 {
-		t.Fatal("tile 2 misplaced")
-	}
-	// Gutter pixel.
-	if m.At(0, 0, 4) != 0.5 {
-		t.Fatal("gutter missing")
-	}
-}
-
-func TestMontageValidation(t *testing.T) {
-	if _, err := Montage(nil, 2); err == nil {
-		t.Error("empty montage accepted")
-	}
-	tiles := []*tensor.Tensor{tensor.New(3, 4, 4), tensor.New(3, 5, 5)}
-	if _, err := Montage(tiles, 2); err == nil {
-		t.Error("mismatched tiles accepted")
-	}
-}
-
-func TestMontageDefaultCols(t *testing.T) {
-	tiles := []*tensor.Tensor{tensor.New(1, 2, 2), tensor.New(1, 2, 2)}
-	m, err := Montage(tiles, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dim(1) != 2 || m.Dim(2) != 5 {
-		t.Fatalf("default-cols montage shape = %v", m.Shape())
 	}
 }
 

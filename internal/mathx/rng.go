@@ -6,10 +6,7 @@
 // every experiment is reproducible bit-for-bit from a single integer seed.
 package mathx
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // RNG is a deterministic pseudo-random source backed by PCG. Unlike the
 // global math/rand functions its stream is stable across Go releases for a
@@ -22,13 +19,6 @@ type RNG struct {
 // seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
 	return &RNG{src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
-}
-
-// Split derives an independent child generator from the current state. It is
-// used to hand a private stream to a sub-component (e.g. one dataset sample)
-// without coupling it to the order of other draws.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.src.Uint64())
 }
 
 // Float64 returns a uniform sample in [0, 1).
@@ -61,15 +51,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
-
-// TruncNorm returns a normal sample truncated to [lo, hi] by rejection;
-// after 64 rejections it falls back to clamping, so it always terminates.
-func (r *RNG) TruncNorm(mean, stddev, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		v := r.NormScaled(mean, stddev)
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
-}

@@ -27,19 +27,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v,%v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MinMax(empty) did not panic")
-		}
-	}()
-	MinMax(nil)
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{

@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchedInferenceBitIdentical pins the contract the batched call
-// sites (train.EvaluateOn, the one-pixel DE attack, the figure panel
+// sites (train.Evaluate, the one-pixel DE attack, the figure panel
 // loops) rely on: every row of LogitsBatch/ProbsBatch and every entry of
 // PredictBatch is bit-identical to the corresponding batch-of-1 call.
 func TestBatchedInferenceBitIdentical(t *testing.T) {

@@ -234,7 +234,10 @@ func TestGradientQueryAllocBudget(t *testing.T) {
 }
 
 func TestCloneRejectsUnknownLayer(t *testing.T) {
-	net := MustNetwork("custom", []int{4}, opaqueLayer{})
+	net, err := NewNetwork("custom", []int{4}, opaqueLayer{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Clone of a non-Cloner layer did not panic")

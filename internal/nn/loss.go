@@ -53,39 +53,6 @@ func (CrossEntropy) Eval(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return total * invN, grad
 }
 
-// MSE is mean squared error against one-hot targets. It is included for the
-// substrate's completeness (and used by unit tests as an alternative convex
-// objective); the experiments use CrossEntropy.
-type MSE struct{}
-
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
-
-// Eval implements Loss.
-func (MSE) Eval(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	n, c := checkLossArgs(logits, labels)
-	grad := tensor.New(n, c)
-	ld, gd := logits.Data(), grad.Data()
-	total := 0.0
-	scale := 2 / float64(n*c)
-	for r := 0; r < n; r++ {
-		label := labels[r]
-		if label < 0 || label >= c {
-			panic(fmt.Sprintf("nn: MSE label %d outside [0,%d)", label, c))
-		}
-		for j := 0; j < c; j++ {
-			t := 0.0
-			if j == label {
-				t = 1
-			}
-			d := ld[r*c+j] - t
-			total += d * d
-			gd[r*c+j] = scale * d
-		}
-	}
-	return total / float64(n*c), grad
-}
-
 func checkLossArgs(logits *tensor.Tensor, labels []int) (n, c int) {
 	if logits.Dims() != 2 {
 		panic(fmt.Sprintf("nn: loss needs [N, C] logits, got %v", logits.Shape()))

@@ -16,11 +16,10 @@ import (
 // (convForward, denseForward, maxPool). The lowering is not
 // layer-by-layer: adjacent Conv2D+ReLU and Dense+ReLU pairs are fused into
 // single ops whose bias epilogue clamps in the same pass (skipping a full
-// write+read of the activation tensor), and Dropout disappears (eval-mode
-// identity). Inputs arrive as float64 tensors and are rounded once at the
-// batch boundary; logits are widened back to float64 (exactly) so softmax
-// and argmax run in float64 — any precision drift comes from the forward
-// pass alone.
+// write+read of the activation tensor). Inputs arrive as float64 tensors
+// and are rounded once at the batch boundary; logits are widened back to
+// float64 (exactly) so softmax and argmax run in float64 — any precision
+// drift comes from the forward pass alone.
 type Net32 struct {
 	name    string
 	inShape []int
@@ -66,8 +65,6 @@ func (n *Network) ToFloat32() (*Net32, error) {
 			net.ops = append(net.ops, &pool32{k: l.K, stride: l.Stride})
 		case *Flatten:
 			net.ops = append(net.ops, flatten32{})
-		case *Dropout:
-			// Eval-mode identity: drop from the pipeline entirely.
 		case *ReLU:
 			net.ops = append(net.ops, relu32{})
 		default:

@@ -48,16 +48,6 @@ func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 	return &Network{name: name, layers: layers, inShape: append([]int(nil), inShape...)}, nil
 }
 
-// MustNetwork is NewNetwork that panics on error, for statically known
-// topologies such as the built-in VGGNet constructors.
-func MustNetwork(name string, inShape []int, layers ...Layer) *Network {
-	n, err := NewNetwork(name, inShape, layers...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Name returns the network's name.
 func (n *Network) Name() string { return n.name }
 
@@ -73,8 +63,8 @@ func (n *Network) Name() string { return n.name }
 // Clone panics if any layer does not implement Cloner (all built-in
 // layers do). Clone never copies weights, but it does allocate a zeroed
 // gradient accumulator per parameter (one full parameter-memory's worth),
-// so reuse clones across evaluations (train.EvaluateOn, the experiment
-// engine's worker-net cache) rather than cloning per call.
+// so reuse clones across evaluations (train.Clones feeding train.Evaluate,
+// the experiment engine's worker-net cache) rather than cloning per call.
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
@@ -151,8 +141,7 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dLoss/dInput in a freshly allocated, caller-owned tensor. Parameter
 // gradients are accumulated only when the preceding Forward ran in training
 // mode; after an eval-mode Forward the pass yields the input gradient alone,
-// with the same bits (for a stack whose two modes compute one function, i.e.
-// without Dropout).
+// with the same bits (every layer computes one function in both modes).
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	g := dout
 	for i := len(n.layers) - 1; i >= 0; i-- {

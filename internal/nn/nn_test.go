@@ -60,18 +60,6 @@ func TestLogSoftmaxMatchesLogOfSoftmax(t *testing.T) {
 	}
 }
 
-func TestSoftmaxBatch(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1, 2, 3, 3, 2, 1}, 2, 3)
-	p := SoftmaxBatch(logits)
-	r0 := Softmax([]float64{1, 2, 3})
-	if !mathx.EqualWithin(p.At(0, 2), r0[2], 1e-12) {
-		t.Fatal("SoftmaxBatch row 0 wrong")
-	}
-	if !mathx.EqualWithin(p.At(1, 0), r0[2], 1e-12) {
-		t.Fatal("SoftmaxBatch row 1 wrong (mirrored logits)")
-	}
-}
-
 func TestCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln(4).
 	logits := tensor.New(1, 4)
@@ -131,27 +119,6 @@ func TestCrossEntropyBadLabelPanics(t *testing.T) {
 		}
 	}()
 	CrossEntropy{}.Eval(tensor.New(1, 3), []int{3})
-}
-
-func TestMSEGradMatchesFiniteDifference(t *testing.T) {
-	r := mathx.NewRNG(33)
-	logits := tensor.RandN(r, 2, 4)
-	labels := []int{1, 2}
-	_, grad := MSE{}.Eval(logits, labels)
-	const h = 1e-6
-	for i := 0; i < logits.Len(); i++ {
-		d := logits.Data()
-		orig := d[i]
-		d[i] = orig + h
-		lp, _ := MSE{}.Eval(logits, labels)
-		d[i] = orig - h
-		lm, _ := MSE{}.Eval(logits, labels)
-		d[i] = orig
-		numeric := (lp - lm) / (2 * h)
-		if !mathx.EqualWithin(grad.Data()[i], numeric, 1e-5) {
-			t.Fatalf("MSE grad[%d] analytic=%v numeric=%v", i, grad.Data()[i], numeric)
-		}
-	}
 }
 
 func TestNetworkValidation(t *testing.T) {
@@ -238,39 +205,6 @@ func TestNetworkDeterministicForward(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := mathx.NewRNG(45)
-	d := NewDropout("drop", 0.5, rng)
-	x := tensor.Full(1, 1, 1000)
-	evalOut := d.Forward(x, false)
-	if !tensor.EqualWithin(evalOut, x, 0) {
-		t.Fatal("eval-mode dropout is not identity")
-	}
-	trainOut := d.Forward(x, true)
-	zeros := 0
-	for _, v := range trainOut.Data() {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-		default:
-			t.Fatalf("inverted dropout produced %v, want 0 or 2", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout zeroed %d/1000 at rate 0.5", zeros)
-	}
-	// Backward routes gradients only through survivors with the same scale.
-	dout := tensor.Full(1, 1, 1000)
-	dx := d.Backward(dout)
-	for i, v := range dx.Data() {
-		want := trainOut.Data()[i] // since input was all-ones, mask*1
-		if v != want {
-			t.Fatalf("dropout backward[%d] = %v, want %v", i, v, want)
-		}
-	}
-}
-
 func TestVGGNetTopology(t *testing.T) {
 	rng := mathx.NewRNG(48)
 	cfg := ScaledVGGConfig(3, 32, 43, 8)
@@ -293,13 +227,10 @@ func TestVGGNetTopology(t *testing.T) {
 }
 
 func TestVGGNetPaperConfigWidths(t *testing.T) {
-	cfg := PaperVGGConfig(3, 32, 43)
+	cfg := ScaledVGGConfig(3, 32, 43, 1)
 	want := [5]int{64, 128, 256, 512, 512}
 	if cfg.Channels != want {
 		t.Fatalf("paper config channels = %v", cfg.Channels)
-	}
-	if cfg.Dropout != 0.5 {
-		t.Fatalf("paper config dropout = %v", cfg.Dropout)
 	}
 }
 

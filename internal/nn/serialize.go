@@ -178,13 +178,3 @@ func (n *Network) SaveWeightsFile(path string) error {
 	}
 	return os.Rename(tmp, path)
 }
-
-// LoadWeightsFile reads network weights from path.
-func (n *Network) LoadWeightsFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.LoadWeights(f)
-}

@@ -51,7 +51,12 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	net2, _ := TinyCNN(1, 8, 3, mathx.NewRNG(777))
-	if err := net2.LoadWeightsFile(path); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := net2.LoadWeights(f); err != nil {
 		t.Fatal(err)
 	}
 	img := tensor.RandU(rng, 0, 1, 1, 8, 8)

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "math"
 
 // Softmax converts a vector of logits into a probability distribution using
 // the numerically stable max-shift formulation.
@@ -41,21 +37,6 @@ func SoftmaxInto(dst, logits []float64) []float64 {
 		dst[i] *= inv
 	}
 	return dst
-}
-
-// SoftmaxBatch applies Softmax to every row of an [N, C] tensor, returning
-// a new tensor of the same shape.
-func SoftmaxBatch(logits *tensor.Tensor) *tensor.Tensor {
-	if logits.Dims() != 2 {
-		panic("nn: SoftmaxBatch needs [N, C] logits")
-	}
-	n, c := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, c)
-	ld, od := logits.Data(), out.Data()
-	for r := 0; r < n; r++ {
-		SoftmaxInto(od[r*c:(r+1)*c], ld[r*c:(r+1)*c])
-	}
-	return out
 }
 
 // LogSoftmax returns log(softmax(logits)) computed stably.

@@ -20,28 +20,14 @@ type VGGConfig struct {
 	Channels [5]int
 	// Classes is the classifier width (43 for GTSRB).
 	Classes int
-	// Dropout, if positive, inserts inverted dropout before the classifier.
-	Dropout float64
 }
 
-// PaperVGGConfig returns the exact filter widths of the paper's Fig. 4
-// (Conv1 64, Conv2 128, Conv3 256, Conv4 512, Conv5 512) for the given
-// input geometry. Training this on a single CPU core is slow; the
-// experiment profiles default to ScaledVGGConfig and keep this available
-// for full-fidelity runs.
-func PaperVGGConfig(inChannels, inSize, classes int) VGGConfig {
-	return VGGConfig{
-		InChannels: inChannels,
-		InSize:     inSize,
-		Channels:   [5]int{64, 128, 256, 512, 512},
-		Classes:    classes,
-		Dropout:    0.5,
-	}
-}
-
-// ScaledVGGConfig returns the same 5-conv + 1-FC topology with filter
-// widths divided by the given factor (minimum 4 filters per block), the
-// single-CPU substitution documented in DESIGN.md.
+// ScaledVGGConfig returns the 5-conv + 1-FC topology with the paper's
+// Fig. 4 filter widths (Conv1 64, Conv2 128, Conv3 256, Conv4 512, Conv5
+// 512) divided by the given factor (minimum 4 filters per block); factor
+// 1 is the paper's network. The width scaling is the single-CPU
+// substitution listed under "Departures from the paper" in
+// ARCHITECTURE.md.
 func ScaledVGGConfig(inChannels, inSize, classes, factor int) VGGConfig {
 	paper := [5]int{64, 128, 256, 512, 512}
 	var ch [5]int
@@ -89,11 +75,10 @@ func VGGNet(cfg VGGConfig, rng *mathx.RNG) (*Network, error) {
 	}
 	final := cfg.InSize / 32
 	flatDim := inC * final * final
-	layers = append(layers, NewFlatten("flatten"))
-	if cfg.Dropout > 0 {
-		layers = append(layers, NewDropout("dropout", cfg.Dropout, rng))
-	}
-	layers = append(layers, NewDenseXavier("fc", flatDim, cfg.Classes, rng))
+	layers = append(layers,
+		NewFlatten("flatten"),
+		NewDenseXavier("fc", flatDim, cfg.Classes, rng),
+	)
 	return NewNetwork("vggnet", []int{cfg.InChannels, cfg.InSize, cfg.InSize}, layers...)
 }
 

@@ -117,14 +117,3 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 		panic(panicked)
 	}
 }
-
-// TaskSeed maps a task index to a deterministic RNG seed derived from a
-// base seed. The mapping depends only on (base, index) — never on worker
-// identity or completion order — so stochastic tasks produce identical
-// streams no matter how the pool schedules them. SplitMix64 finalizer.
-func TaskSeed(base uint64, index int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(index+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}

@@ -74,20 +74,3 @@ func TestSetWorkers(t *testing.T) {
 		t.Fatalf("Workers() = %d after reset; want >= 1", got)
 	}
 }
-
-func TestTaskSeedDeterministicAndDistinct(t *testing.T) {
-	seen := make(map[uint64]int)
-	for i := 0; i < 10000; i++ {
-		s := TaskSeed(42, i)
-		if s != TaskSeed(42, i) {
-			t.Fatalf("TaskSeed(42, %d) not deterministic", i)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("TaskSeed collision between indices %d and %d", prev, i)
-		}
-		seen[s] = i
-	}
-	if TaskSeed(1, 0) == TaskSeed(2, 0) {
-		t.Fatal("TaskSeed ignores the base seed")
-	}
-}

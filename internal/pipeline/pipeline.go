@@ -268,14 +268,6 @@ func (p *Pipeline) Predict(x *tensor.Tensor, tm ThreatModel) (int, float64) {
 	return best, probs[best]
 }
 
-// CleanProbs is the benign-inference path: every legitimate input passes
-// the filter (and acquisition when modeled) before the DNN — identical to
-// Deliver under TM2 but named for readability at call sites evaluating
-// clean accuracy.
-func (p *Pipeline) CleanProbs(x *tensor.Tensor) []float64 {
-	return p.Probs(x, TM2)
-}
-
 // AttackerModel returns the pre-processing stage a filter-aware (FAdeML)
 // attacker should fold into its differentiable model for the given threat
 // model: nothing under TM1, acquisition+filter under TM2, filter under TM3.

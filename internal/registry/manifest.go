@@ -37,8 +37,6 @@ type ArchSpec struct {
 	// Channels holds the per-block filter counts (vgg family: exactly 5
 	// entries; unused for tinycnn, whose widths are fixed).
 	Channels []int `json:"channels,omitempty"`
-	// Dropout is the classifier dropout rate (vgg family only).
-	Dropout float64 `json:"dropout,omitempty"`
 }
 
 // VGGSpec converts an nn.VGGConfig into its manifest form.
@@ -49,7 +47,6 @@ func VGGSpec(cfg nn.VGGConfig) ArchSpec {
 		InSize:     cfg.InSize,
 		Classes:    cfg.Classes,
 		Channels:   append([]int(nil), cfg.Channels[:]...),
-		Dropout:    cfg.Dropout,
 	}
 }
 
@@ -77,7 +74,6 @@ func (a ArchSpec) Build() (*nn.Network, error) {
 			InChannels: a.InChannels,
 			InSize:     a.InSize,
 			Classes:    a.Classes,
-			Dropout:    a.Dropout,
 		}
 		copy(cfg.Channels[:], a.Channels)
 		return nn.VGGNet(cfg, mathx.NewRNG(1))
@@ -92,7 +88,7 @@ func (a ArchSpec) Build() (*nn.Network, error) {
 func (a ArchSpec) equal(b ArchSpec) bool {
 	if a.Family != b.Family || a.InChannels != b.InChannels ||
 		a.InSize != b.InSize || a.Classes != b.Classes ||
-		a.Dropout != b.Dropout || len(a.Channels) != len(b.Channels) {
+		len(a.Channels) != len(b.Channels) {
 		return false
 	}
 	for i := range a.Channels {

@@ -9,20 +9,24 @@ import (
 )
 
 // TestEvaluateBatchMatchesPerImage pins the batched-transform contract:
-// routing the transform through a BatchTransform (the Filter.ApplyBatch
-// path) produces metrics bit-identical to the per-image hook, at any
+// filtering each mini-batch as a whole (the Filter.ApplyBatch path)
+// produces metrics bit-identical to filtering image by image, at any
 // worker count.
 func TestEvaluateBatchMatchesPerImage(t *testing.T) {
 	ds := newBlobDataset(50, 3, 8, 11)
 	net := smallNet(t, 3, 5)
 	f := filters.NewLAP(4)
-	want := EvaluateWorkers(net, ds, func(img *tensor.Tensor, _ int) *tensor.Tensor {
-		return f.Apply(img)
-	}, 1)
+	want := Evaluate(Clones(net, 1), ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(imgs))
+		for i, img := range imgs {
+			out[i] = f.Apply(img)
+		}
+		return out
+	})
 	for _, workers := range []int{1, 3} {
-		got := EvaluateBatchWorkers(net, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+		got := Evaluate(Clones(net, workers), ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 			return f.ApplyBatch(imgs)
-		}, workers)
+		})
 		if got != want {
 			t.Errorf("workers=%d: batched metrics %+v != per-image %+v", workers, got, want)
 		}
@@ -35,7 +39,7 @@ func TestEvaluateBatchIndices(t *testing.T) {
 	ds := newBlobDataset(37, 2, 8, 3)
 	net := smallNet(t, 2, 9)
 	seen := make([]bool, ds.Len())
-	EvaluateBatchWorkers(net, ds, func(imgs []*tensor.Tensor, idx []int) []*tensor.Tensor {
+	Evaluate(Clones(net, 1), ds, func(imgs []*tensor.Tensor, idx []int) []*tensor.Tensor {
 		if len(imgs) != len(idx) {
 			t.Fatalf("imgs/idx length mismatch: %d vs %d", len(imgs), len(idx))
 		}
@@ -48,7 +52,7 @@ func TestEvaluateBatchIndices(t *testing.T) {
 			seen[i] = true
 		}
 		return imgs
-	}, 1)
+	})
 	for i, ok := range seen {
 		if !ok {
 			t.Fatalf("sample %d never reached the transform", i)
@@ -66,9 +70,9 @@ func TestEvaluateBatchLengthGuard(t *testing.T) {
 			t.Fatal("length-changing transform did not panic")
 		}
 	}()
-	EvaluateBatchWorkers(net, ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
+	Evaluate(Clones(net, 1), ds, func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
 		return imgs[:len(imgs)-1]
-	}, 1)
+	})
 }
 
 // TestEvaluateParallelStillBitIdentical re-pins the PR-1 determinism
@@ -77,11 +81,11 @@ func TestEvaluateParallelStillBitIdentical(t *testing.T) {
 	ds := newBlobDataset(60, 4, 8, 6)
 	net := smallNet(t, 4, 2)
 	f := filters.NewMedian(1)
-	transform := func(img *tensor.Tensor, _ int) *tensor.Tensor { return f.Apply(img) }
-	serial := EvaluateWorkers(net, ds, transform, 1)
+	transform := func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor { return f.ApplyBatch(imgs) }
+	serial := Evaluate(Clones(net, 1), ds, transform)
 	old := parallel.Workers()
 	parallel.SetWorkers(4)
-	par := Evaluate(net, ds, transform)
+	par := Evaluate(Clones(net, parallel.Workers()), ds, transform)
 	parallel.SetWorkers(old)
 	if serial != par {
 		t.Fatalf("parallel evaluation diverged: %+v vs %+v", par, serial)

@@ -57,107 +57,37 @@ func (m Metrics) String() string {
 
 // BatchTransform maps one evaluation mini-batch to the tensors actually
 // scored: imgs are the raw samples, idx their dataset indices (parallel
-// slices). It is the batched counterpart of the per-image transform hook
-// and is what routes evaluation through Filter.ApplyBatch /
-// Pipeline.DeliverBatch. The returned slice must have len(imgs) entries;
-// entry i replaces imgs[i]. Implementations must be pure per sample so
-// parallel evaluation stays bit-identical to serial.
+// slices). The returned slice must have len(imgs) entries; entry i
+// replaces imgs[i]. Implementations must be pure per sample so parallel
+// evaluation stays bit-identical to serial.
 type BatchTransform func(imgs []*tensor.Tensor, idx []int) []*tensor.Tensor
 
-// perImage adapts a per-image transform to the batched contract.
-func perImage(transform func(*tensor.Tensor, int) *tensor.Tensor) BatchTransform {
-	if transform == nil {
-		return nil
-	}
-	return func(imgs []*tensor.Tensor, idx []int) []*tensor.Tensor {
-		out := make([]*tensor.Tensor, len(imgs))
-		for i, img := range imgs {
-			out[i] = transform(img, idx[i])
-		}
-		return out
-	}
-}
-
-// Evaluate runs the network over every sample of ds (optionally transformed)
-// and returns aggregate metrics. transform may be nil; otherwise each image
-// is passed through it before inference — the hook the experiment harness
-// uses to route evaluation through attacks, acquisition and filters.
-//
-// Evaluation is fanned out over the process-wide parallel.Workers() pool;
-// transform, when given, must therefore be safe for concurrent calls
-// (pure functions of the image and index — every filter in this
-// repository qualifies; stateful acquisition models do not). Results are
-// bit-identical to a serial run regardless of worker count.
-func Evaluate(net *nn.Network, ds Dataset, transform func(*tensor.Tensor, int) *tensor.Tensor) Metrics {
-	return EvaluateWorkers(net, ds, transform, 0)
-}
-
-// EvaluateBatch is Evaluate with a batched transform: each evaluation
-// mini-batch passes through transform as a whole, so filter stages run
-// their ApplyBatch path instead of image-at-a-time Apply.
-func EvaluateBatch(net *nn.Network, ds Dataset, transform BatchTransform) Metrics {
-	return EvaluateBatchWorkers(net, ds, transform, 0)
-}
-
-// EvaluateBatchWorkers is EvaluateBatch with an explicit worker count
-// (<= 0 selects parallel.Workers(); 1 runs serially).
-func EvaluateBatchWorkers(net *nn.Network, ds Dataset, transform BatchTransform, workers int) Metrics {
-	return EvaluateOnBatch(evalNets(net, ds, workers), ds, transform)
-}
-
-// evalNets builds the worker networks for one evaluation: net itself
-// plus weight-sharing clones.
-func evalNets(net *nn.Network, ds Dataset, workers int) []*nn.Network {
-	n := ds.Len()
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	nets := make([]*nn.Network, workers)
-	nets[0] = net
-	for w := 1; w < workers; w++ {
-		nets[w] = net.Clone()
+// Clones returns the worker networks for Evaluate: net itself plus n-1
+// weight-sharing clones (nn.Network.Clone). n < 1 counts as 1. Callers
+// that evaluate many datasets against one network (the Fig. 7/9 curve
+// sweeps run one evaluation per attack × scenario × filter cell) reuse one
+// clone set instead of cloning per call.
+func Clones(net *nn.Network, n int) []*nn.Network {
+	nets := []*nn.Network{net}
+	for len(nets) < n {
+		nets = append(nets, net.Clone())
 	}
 	return nets
 }
 
-// EvaluateWorkers is Evaluate with an explicit worker count (<= 0 selects
-// parallel.Workers(); 1 runs serially on the calling goroutine). Workers
-// beyond the first run on weight-sharing clones of net (nn.Network.Clone),
-// so net itself is only ever used from one goroutine at a time. Callers
-// evaluating many datasets against the same network should prefer
-// EvaluateOn with a reused clone set — this convenience clones afresh
-// per call.
-func EvaluateWorkers(net *nn.Network, ds Dataset, transform func(*tensor.Tensor, int) *tensor.Tensor, workers int) Metrics {
-	if ds.Len() == 0 {
-		return Metrics{}
-	}
-	return EvaluateOnBatch(evalNets(net, ds, workers), ds, perImage(transform))
-}
-
-// EvaluateOn evaluates using caller-supplied worker networks — nets[0]
-// plus weight-sharing clones of it — so repeated evaluations (the Fig. 7/9
-// curve sweeps run one per attack × scenario × filter cell) amortize the
-// clone allocations instead of re-cloning per call. nets must be
-// non-empty; len(nets) bounds the worker count, and each entry is only
-// ever used by one goroutine per call.
-func EvaluateOn(nets []*nn.Network, ds Dataset, transform func(*tensor.Tensor, int) *tensor.Tensor) Metrics {
-	return EvaluateOnBatch(nets, ds, perImage(transform))
-}
-
-// EvaluateOnBatch is EvaluateOn with a batched transform hook: each
-// worker mini-batch is handed to transform as a whole (raw samples plus
-// their dataset indices) before the batched forward pass — the path the
-// Fig. 7/9 curve sweeps use to run filter delivery through
-// Pipeline.DeliverBatch. transform may be nil (clean evaluation).
-func EvaluateOnBatch(nets []*nn.Network, ds Dataset, transform BatchTransform) Metrics {
+// Evaluate runs the networks over every sample of ds and returns aggregate
+// metrics. nets are net plus weight-sharing clones of it (see Clones);
+// len(nets) bounds the worker count, and each entry is only ever used by
+// one goroutine per call. Each worker mini-batch is handed to transform as
+// a whole (raw samples plus their dataset indices) before the batched
+// forward pass — the hook the experiment harness uses to route evaluation
+// through attacks, acquisition and filters (Pipeline.DeliverBatch,
+// Filter.ApplyBatch). transform may be nil (clean evaluation); otherwise
+// it must be safe for concurrent calls. Results are bit-identical to a
+// serial run regardless of worker count.
+func Evaluate(nets []*nn.Network, ds Dataset, transform BatchTransform) Metrics {
 	if len(nets) == 0 {
-		panic("train: EvaluateOnBatch needs at least one network")
+		panic("train: Evaluate needs at least one network")
 	}
 	var m Metrics
 	n := ds.Len()
@@ -242,36 +172,4 @@ func EvaluateOnBatch(nets []*nn.Network, ds Dataset, transform BatchTransform) M
 		MeanConfidence: conf * inv,
 		MeanTrueProb:   trueProb * inv,
 	}
-}
-
-// Confusion accumulates a confusion matrix over a dataset. Rows are true
-// classes, columns predictions. Predictions run in batched forward passes.
-func Confusion(net *nn.Network, ds Dataset, classes int) [][]int {
-	mat := make([][]int, classes)
-	for i := range mat {
-		mat[i] = make([]int, classes)
-	}
-	n := ds.Len()
-	imgs := make([]*tensor.Tensor, 0, evalBatchSize)
-	labs := make([]int, 0, evalBatchSize)
-	for lo := 0; lo < n; lo += evalBatchSize {
-		hi := lo + evalBatchSize
-		if hi > n {
-			hi = n
-		}
-		imgs, labs = imgs[:0], labs[:0]
-		for i := lo; i < hi; i++ {
-			img, label := ds.Sample(i)
-			imgs = append(imgs, img)
-			labs = append(labs, label)
-		}
-		preds, _ := net.PredictBatch(imgs)
-		for i, pred := range preds {
-			label := labs[i]
-			if label >= 0 && label < classes && pred >= 0 && pred < classes {
-				mat[label][pred]++
-			}
-		}
-	}
-	return mat
 }

@@ -1,131 +1,56 @@
-// Package train provides optimizers, learning-rate schedules and a
-// mini-batch training loop for the nn substrate, along with classification
-// metrics (top-1/top-k accuracy, confusion counts) used throughout the
-// experiment harness.
+// Package train provides the mini-batch training loop for the nn substrate
+// (Adam on softmax cross-entropy), its learning-rate schedules, and the one
+// batched, parallel evaluation entry point (top-1/top-5 accuracy and mean
+// confidence) used throughout the experiment harness.
 package train
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/nn"
 )
 
-// Optimizer updates network parameters from their accumulated gradients.
-type Optimizer interface {
-	// Name identifies the optimizer in logs.
-	Name() string
-	// Step applies one update using the current gradients and the given
-	// learning rate, then leaves gradients untouched (the trainer zeroes
-	// them).
-	Step(params []*nn.Param, lr float64)
-}
-
-// SGD is plain stochastic gradient descent: w -= lr * g.
-type SGD struct{}
-
-// Name implements Optimizer.
-func (SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer.
-func (SGD) Step(params []*nn.Param, lr float64) {
-	for _, p := range params {
-		p.Value.AddScaled(-lr, p.Grad)
-	}
-}
-
-// Momentum is SGD with classical momentum: v = mu*v - lr*g; w += v.
-type Momentum struct {
-	Mu       float64
-	velocity map[*nn.Param][]float64
-}
-
-// NewMomentum constructs a momentum optimizer with coefficient mu
-// (typically 0.9).
-func NewMomentum(mu float64) *Momentum {
-	return &Momentum{Mu: mu, velocity: make(map[*nn.Param][]float64)}
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string { return fmt.Sprintf("momentum(%.2f)", m.Mu) }
-
-// Step implements Optimizer.
-func (m *Momentum) Step(params []*nn.Param, lr float64) {
-	for _, p := range params {
-		v, ok := m.velocity[p]
-		if !ok {
-			v = make([]float64, p.Value.Len())
-			m.velocity[p] = v
-		}
-		vd, wd, gd := v, p.Value.Data(), p.Grad.Data()
-		for i := range vd {
-			vd[i] = m.Mu*vd[i] - lr*gd[i]
-			wd[i] += vd[i]
-		}
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction — the
-// default for every experiment profile because it trains the small VGG
-// quickly without per-topology tuning.
-type Adam struct {
-	Beta1, Beta2, Eps float64
+// adam is the Adam optimizer (Kingma & Ba) with bias correction. It trains
+// the small VGG quickly without per-topology tuning. The hyper-parameters
+// are fields, not constants: 1-beta1 must be the run-time subtraction
+// (0.09999999999999998 for 0.9), which is what every pinned weight digest
+// was trained with; a constant expression would fold to exactly 0.1.
+type adam struct {
+	beta1, beta2, eps float64
 	t                 int
-	m, v              map[*nn.Param][]float64
+	m, v              [][]float64 // first and second moments, one per param
 }
 
-// NewAdam constructs an Adam optimizer with the canonical defaults
-// beta1=0.9, beta2=0.999, eps=1e-8.
-func NewAdam() *Adam {
-	return &Adam{
-		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*nn.Param][]float64),
-		v: make(map[*nn.Param][]float64),
-	}
+// newAdam constructs Adam with the canonical defaults beta1=0.9,
+// beta2=0.999, eps=1e-8.
+func newAdam() *adam {
+	return &adam{beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// Step implements Optimizer.
-func (a *Adam) Step(params []*nn.Param, lr float64) {
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, p.Value.Len())
-			a.m[p] = m
-			a.v[p] = make([]float64, p.Value.Len())
+// step applies one update from the accumulated gradients at learning rate
+// lr. params must be the same slice, in the same order, on every call.
+func (a *adam) step(params []*nn.Param, lr float64) {
+	if a.m == nil {
+		a.m = make([][]float64, len(params))
+		a.v = make([][]float64, len(params))
+		for i, p := range params {
+			a.m[i] = make([]float64, p.Value.Len())
+			a.v[i] = make([]float64, p.Value.Len())
 		}
-		v := a.v[p]
+	}
+	a.t++
+	c1 := 1 - math.Pow(a.beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	for pi, p := range params {
+		m, v := a.m[pi], a.v[pi]
 		wd, gd := p.Value.Data(), p.Grad.Data()
 		for i := range m {
 			g := gd[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = a.beta1*m[i] + (1-a.beta1)*g
+			v[i] = a.beta2*v[i] + (1-a.beta2)*g*g
 			mHat := m[i] / c1
 			vHat := v[i] / c2
-			wd[i] -= lr * mHat / (math.Sqrt(vHat) + a.Eps)
+			wd[i] -= lr * mHat / (math.Sqrt(vHat) + a.eps)
 		}
 	}
-}
-
-// GradClip rescales all gradients so their global L2 norm does not exceed
-// maxNorm. Returns the pre-clip norm. A maxNorm <= 0 disables clipping.
-func GradClip(params []*nn.Param, maxNorm float64) float64 {
-	total := 0.0
-	for _, p := range params {
-		n := p.Grad.L2Norm()
-		total += n * n
-	}
-	norm := math.Sqrt(total)
-	if maxNorm > 0 && norm > maxNorm {
-		scale := maxNorm / (norm + 1e-12)
-		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
-		}
-	}
-	return norm
 }

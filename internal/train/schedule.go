@@ -14,21 +14,6 @@ type ConstantLR float64
 // LR implements Schedule.
 func (c ConstantLR) LR(int) float64 { return float64(c) }
 
-// StepDecay multiplies the base rate by Gamma every Every epochs.
-type StepDecay struct {
-	Base  float64
-	Gamma float64
-	Every int
-}
-
-// LR implements Schedule.
-func (s StepDecay) LR(epoch int) float64 {
-	if s.Every <= 0 {
-		return s.Base
-	}
-	return s.Base * math.Pow(s.Gamma, float64(epoch/s.Every))
-}
-
 // CosineDecay anneals from Base to Floor over Total epochs following a
 // half-cosine, then stays at Floor.
 type CosineDecay struct {

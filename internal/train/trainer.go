@@ -15,16 +15,10 @@ type Config struct {
 	Epochs int
 	// BatchSize is the mini-batch size (clamped to the dataset size).
 	BatchSize int
-	// Schedule supplies the per-epoch learning rate.
+	// Schedule supplies the per-epoch learning rate (1e-3 when nil).
 	Schedule Schedule
-	// Optimizer defaults to Adam when nil.
-	Optimizer Optimizer
-	// Loss defaults to cross-entropy when nil.
-	Loss nn.Loss
 	// Seed drives shuffling; runs with equal seeds are identical.
 	Seed uint64
-	// ClipNorm, if positive, clips the global gradient norm each step.
-	ClipNorm float64
 	// Log, when non-nil, receives one line per epoch.
 	Log io.Writer
 }
@@ -42,16 +36,9 @@ type Result struct {
 	Epochs []EpochStats
 }
 
-// FinalLoss returns the mean loss of the last epoch (0 if none ran).
-func (r Result) FinalLoss() float64 {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	return r.Epochs[len(r.Epochs)-1].MeanLoss
-}
-
-// Fit trains the network on ds according to cfg and returns per-epoch
-// statistics. It is fully deterministic for a fixed seed.
+// Fit trains the network on ds with Adam on softmax cross-entropy
+// according to cfg and returns per-epoch statistics. It is fully
+// deterministic for a fixed seed.
 func Fit(net *nn.Network, ds Dataset, cfg Config) (Result, error) {
 	if ds.Len() == 0 {
 		return Result{}, fmt.Errorf("train: empty dataset")
@@ -62,14 +49,7 @@ func Fit(net *nn.Network, ds Dataset, cfg Config) (Result, error) {
 	if cfg.BatchSize <= 0 {
 		return Result{}, fmt.Errorf("train: batch size must be positive, got %d", cfg.BatchSize)
 	}
-	opt := cfg.Optimizer
-	if opt == nil {
-		opt = NewAdam()
-	}
-	loss := cfg.Loss
-	if loss == nil {
-		loss = nn.CrossEntropy{}
-	}
+	opt := newAdam()
 	sched := cfg.Schedule
 	if sched == nil {
 		sched = ConstantLR(1e-3)
@@ -107,12 +87,9 @@ func Fit(net *nn.Network, ds Dataset, cfg Config) (Result, error) {
 			batch := tensor.Stack(imgs)
 			net.ZeroGrads()
 			logits := net.Forward(batch, true)
-			lv, dlogits := loss.Eval(logits, labels)
+			lv, dlogits := nn.CrossEntropy{}.Eval(logits, labels)
 			net.Backward(dlogits)
-			if cfg.ClipNorm > 0 {
-				GradClip(net.Params(), cfg.ClipNorm)
-			}
-			opt.Step(net.Params(), lr)
+			opt.step(net.Params(), lr)
 			lossSum += lv
 			batches++
 			// Batch top-1 from the already-computed logits.
