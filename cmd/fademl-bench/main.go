@@ -1,8 +1,8 @@
 // Command fademl-bench regenerates the paper's evaluation figures as text
 // tables: Fig. 5 (attacks under TM-I), Fig. 6 (top-5 accuracy under
 // attack), Fig. 7 (classical attacks neutralized by LAP/LAR) and Fig. 9
-// (FAdeML attacks surviving the same filters). EXPERIMENTS.md is produced
-// from this tool's output.
+// (FAdeML attacks surviving the same filters). ATTACKS.md "Figure budgets"
+// lists the attack specs each figure runs.
 //
 // Usage:
 //
@@ -121,7 +121,8 @@ func meter() func() string {
 	}
 }
 
-// runAblations prints the design-choice sweeps of DESIGN.md.
+// runAblations prints the design-choice sweeps: filter strength, FAdeML η,
+// BIM ε budget and the LAR footprint.
 func runAblations(ctx context.Context, env *fademl.Env) error {
 	fmt.Println("Ablation — clean accuracy vs filter strength (inverted-U):")
 	for _, p := range experiments.RunFilterStrengthAblation(env) {

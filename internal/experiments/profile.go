@@ -19,7 +19,8 @@ import (
 // Profile sizes an experimental run. The paper's full setup (VGGNet with
 // 64..512 filters, 39209 GTSRB samples) is far beyond a single-CPU budget;
 // profiles keep the topology and methodology identical while scaling
-// widths and sample counts (substitution documented in DESIGN.md).
+// widths and sample counts (listed under "Departures from the paper" in
+// ARCHITECTURE.md).
 type Profile struct {
 	// Name tags the profile in cache paths and reports.
 	Name string
@@ -83,8 +84,8 @@ func ProfileTiny() Profile {
 	}
 }
 
-// ProfileDefault is the bench profile used for EXPERIMENTS.md: a /8-width
-// VGGNet, ~1000 training images, minutes-scale wall time on one core.
+// ProfileDefault is the figure CLI's default profile: a /8-width VGGNet,
+// ~1000 training images, minutes-scale wall time on one core.
 func ProfileDefault() Profile {
 	return Profile{
 		Name: "default", Size: 32, VGGScale: 8,

@@ -3,7 +3,8 @@
 // class ids as synthetic sign images (correct shape taxonomy, digit and
 // arrow glyphs, per-sample jitter) so the experiments have a 43-class
 // recognition task with the paper's five payload scenarios, without the
-// real camera dataset. The substitution is documented in DESIGN.md.
+// real camera dataset. The substitution is listed under "Departures from
+// the paper" in ARCHITECTURE.md.
 package gtsrb
 
 // NumClasses is the GTSRB class count.

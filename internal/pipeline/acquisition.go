@@ -15,7 +15,8 @@ import (
 // Acquisition simulates the data-capture hardware that Threat Model II
 // routes a physical-world perturbation through: exposure gain, additive
 // sensor noise, and 8-bit quantization. It stands in for the camera the
-// paper's TM II assumes (substitution documented in DESIGN.md).
+// paper's TM II assumes (listed under "Departures from the paper" in
+// ARCHITECTURE.md).
 //
 // Acquisition implements the filters.Filter interface so a filter-aware
 // attacker can fold it into the differentiable pipeline: gain is exact;
