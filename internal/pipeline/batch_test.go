@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/filters"
@@ -82,6 +83,53 @@ func TestProbsViewsMatchesProbs(t *testing.T) {
 		for j := range want {
 			if views[i][j] != want[j] {
 				t.Fatalf("ProbsViews[%d] (%v) diverged from Probs", i, tm)
+			}
+		}
+	}
+}
+
+// TestDeliverIsAttackerModel pins that what reaches the DNN under a
+// threat model is exactly the stage AttackerModel names for it: per
+// image through Apply, per threat-model group through ApplyBatch, with
+// and without acquisition, for a deterministic and a randomized filter.
+func TestDeliverIsAttackerModel(t *testing.T) {
+	net := pipelineNet(t)
+	rng := mathx.NewRNG(94)
+	xs := make([]*tensor.Tensor, 4)
+	for i := range xs {
+		xs[i] = tensor.RandU(rng, 0, 1, 3, 16, 16)
+	}
+	same := func(a, b *tensor.Tensor) bool {
+		ad, bd := a.Data(), b.Data()
+		if len(ad) != len(bd) {
+			return false
+		}
+		for i := range ad {
+			if math.Float64bits(ad[i]) != math.Float64bits(bd[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, flt := range []filters.Filter{filters.NewLAP(8), filters.NewRandNoise(0.05, 7)} {
+		for _, acq := range []*Acquisition{nil, DefaultAcquisition(13)} {
+			p := New(net, flt, acq)
+			for _, tm := range []ThreatModel{TM1, TM2, TM3} {
+				stage := p.AttackerModel(tm)
+				tms := make([]ThreatModel, len(xs))
+				for i := range tms {
+					tms[i] = tm
+				}
+				grouped := p.DeliverGrouped(xs, tms)
+				batched := stage.ApplyBatch(xs)
+				for i, x := range xs {
+					if !same(p.Deliver(x, tm), stage.Apply(x)) {
+						t.Errorf("%s acq=%v %v: Deliver[%d] != AttackerModel.Apply", flt.Name(), acq != nil, tm, i)
+					}
+					if !same(grouped[i], batched[i]) {
+						t.Errorf("%s acq=%v %v: DeliverGrouped[%d] != AttackerModel.ApplyBatch", flt.Name(), acq != nil, tm, i)
+					}
+				}
 			}
 		}
 	}

@@ -265,6 +265,34 @@ func TestDetectEndpoint(t *testing.T) {
 	}
 }
 
+// TestDetectScoresDeliveredView pins which view Detect scores under each
+// threat model: the pipeline's own delivery of the image, so the score
+// and every squeezer's L1 equal a direct det.Score on Deliver(img, tm).
+func TestDetectScoresDeliveredView(t *testing.T) {
+	s := detectServer(t, 1e9)
+	defer s.Close()
+	pipe, det := servePipeline(t), detect.Default()
+	img := gtsrb.Canonical(4, 16)
+	for _, tm := range []pipeline.ThreatModel{pipeline.TM1, pipeline.TM2, pipeline.TM3} {
+		res, err := s.Detect(context.Background(), DetectRequest{Image: img, TM: tm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := det.Score(pipe.Net, pipe.Deliver(img, tm))
+		if res.Verdict.Score != want.Score {
+			t.Fatalf("%v: Detect score %v, direct score %v", tm, res.Verdict.Score, want.Score)
+		}
+		if len(res.Verdict.PerSqueezer) != len(want.PerSqueezer) {
+			t.Fatalf("%v: %d squeezer scores, want %d", tm, len(res.Verdict.PerSqueezer), len(want.PerSqueezer))
+		}
+		for i, sq := range want.PerSqueezer {
+			if got := res.Verdict.PerSqueezer[i].L1; got != sq.L1 {
+				t.Fatalf("%v squeezer %s: Detect L1 %v, direct L1 %v", tm, sq.Squeezer, got, sq.L1)
+			}
+		}
+	}
+}
+
 // TestDetectHTTP exercises POST /v1/detect end to end: flattened verdict
 // fields, the spec override, and the malformed-spec 400.
 func TestDetectHTTP(t *testing.T) {
