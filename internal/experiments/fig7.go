@@ -212,11 +212,11 @@ func runFilterSweep(ctx context.Context, env *Env, opt SweepOptions, filterAware
 				if a > 0 {
 					eval = newSliceDataset(advs[((a-1)*len(grid)+fi)*n:][:n], ds)
 				}
-				p := pipeline.New(env.Net, f, nil)
-				// Delivery runs batched through Filter.ApplyBatch.
+				// TM-III delivery with no acquisition is the filter alone,
+				// run batched through Filter.ApplyBatch.
 				m := train.Evaluate(env.workerNets(gridWorkers(n)), eval,
 					func(imgs []*tensor.Tensor, _ []int) []*tensor.Tensor {
-						return p.DeliverBatch(imgs, pipeline.TM3)
+						return f.ApplyBatch(imgs)
 					})
 				curve.FilterNames = append(curve.FilterNames, f.Name())
 				curve.Top5 = append(curve.Top5, m.Top5)

@@ -9,27 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestDeliverBatchBitIdentity pins that the batched delivery path —
-// acquisition and filter both running ApplyBatch — reproduces per-image
-// Deliver bit-for-bit under every threat model.
-func TestDeliverBatchBitIdentity(t *testing.T) {
-	net := pipelineNet(t)
-	p := New(net, filters.NewLAP(8), DefaultAcquisition(21))
-	rng := mathx.NewRNG(91)
-	xs := make([]*tensor.Tensor, 5)
-	for i := range xs {
-		xs[i] = tensor.RandU(rng, 0, 1, 3, 16, 16)
-	}
-	for _, tm := range []ThreatModel{TM1, TM2, TM3} {
-		got := p.DeliverBatch(xs, tm)
-		for i, x := range xs {
-			if !tensor.EqualWithin(got[i], p.Deliver(x, tm), 0) {
-				t.Errorf("%v: DeliverBatch[%d] != Deliver", tm, i)
-			}
-		}
-	}
-}
-
 // TestDeliverGroupedBitIdentity pins the mixed-threat-model path the
 // serving micro-batches take: per-index TMs, grouped filter batching,
 // per-slot results identical to individual Deliver calls.

@@ -60,10 +60,10 @@ func TestTM2DeliveryConcurrentDeterminism(t *testing.T) {
 	}
 }
 
-// TestTM2ProbsBatchConcurrentDeterminism runs full TM-II inference —
-// Pipeline.ProbsBatch on per-worker network clones sharing one Acquisition
-// — from many goroutines and asserts every probability vector is
-// bit-identical to the serial single-image path.
+// TestTM2ProbsBatchConcurrentDeterminism runs full TM-II inference — the
+// batched TM-II stage then one batched forward, on per-worker network
+// clones sharing one Acquisition — from many goroutines and asserts every
+// probability vector is bit-identical to the serial single-image path.
 func TestTM2ProbsBatchConcurrentDeterminism(t *testing.T) {
 	net := pipelineNet(t)
 	filter := filters.NewLAP(8)
@@ -91,11 +91,11 @@ func TestTM2ProbsBatchConcurrentDeterminism(t *testing.T) {
 		go func(wp *Pipeline) {
 			defer wg.Done()
 			for r := 0; r < 3; r++ {
-				rows := wp.ProbsBatch(imgs, TM2)
+				rows := wp.Net.ProbsBatch(wp.AttackerModel(TM2).ApplyBatch(imgs))
 				for i, row := range rows {
 					for j, v := range row {
 						if v != serial[i][j] {
-							errs <- "concurrent ProbsBatch(TM2) differs from serial Probs"
+							errs <- "concurrent batched TM2 inference differs from serial Probs"
 							return
 						}
 					}

@@ -43,6 +43,12 @@ func (tm ThreatModel) String() string {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler: a threat model's wire
+// form is its String label ("TM-I", "TM-II", "TM-III").
+func (tm ThreatModel) MarshalText() ([]byte, error) {
+	return []byte(tm.String()), nil
+}
+
 // ParseThreatModel converts a user-supplied string — a CLI flag, an HTTP
 // request field — into a ThreatModel. It accepts the numeric forms "1",
 // "2", "3", the short names "tm1".."tm3" and the paper's roman labels
@@ -146,58 +152,10 @@ func NewModel(id ModelID, net *nn.Network, filter filters.Filter, acq *Acquisiti
 }
 
 // Deliver returns the tensor that reaches the DNN when the attacker-
-// controlled image x enters the pipeline under the given threat model.
+// controlled image x enters the pipeline under the given threat model:
+// x through the stage AttackerModel(tm) names.
 func (p *Pipeline) Deliver(x *tensor.Tensor, tm ThreatModel) *tensor.Tensor {
-	if tm == TM1 {
-		// Post-filter buffer access: the DNN sees x as-is.
-		return x.Clone()
-	}
-	return DeliverThrough(x, p.Filter, p.Acq, tm)
-}
-
-// DeliverThrough computes the filtered delivery of x for an arbitrary
-// (filter, acquisition) pair — the TM2/TM3 semantics of Deliver without
-// a Pipeline instance, so callers overriding the deployed pre-processing
-// (the serving layer's evaluate filters axis) share this one definition
-// of the delivery order. filter must be non-nil; acq may be nil.
-func DeliverThrough(x *tensor.Tensor, filter filters.Filter, acq *Acquisition, tm ThreatModel) *tensor.Tensor {
-	switch tm {
-	case TM2:
-		img := x
-		if acq != nil {
-			img = acq.Apply(img)
-		}
-		return filter.Apply(img)
-	case TM3:
-		return filter.Apply(x)
-	default:
-		panic(fmt.Sprintf("pipeline: unknown threat model %d", int(tm)))
-	}
-}
-
-// DeliverBatch delivers every image under tm, routing the filter (and
-// acquisition) stage through Filter.ApplyBatch so filters with a batched
-// implementation fan out over the worker pool. Element i is
-// bit-identical to Deliver(xs[i], tm).
-func (p *Pipeline) DeliverBatch(xs []*tensor.Tensor, tm ThreatModel) []*tensor.Tensor {
-	switch tm {
-	case TM1:
-		out := make([]*tensor.Tensor, len(xs))
-		for i, x := range xs {
-			out[i] = x.Clone()
-		}
-		return out
-	case TM2:
-		imgs := xs
-		if p.Acq != nil {
-			imgs = p.Acq.ApplyBatch(imgs)
-		}
-		return p.Filter.ApplyBatch(imgs)
-	case TM3:
-		return p.Filter.ApplyBatch(xs)
-	default:
-		panic(fmt.Sprintf("pipeline: unknown threat model %d", int(tm)))
-	}
+	return p.AttackerModel(tm).Apply(x)
 }
 
 // DeliverGrouped delivers xs[i] under tms[i] (the slices must have equal
@@ -222,7 +180,7 @@ func (p *Pipeline) DeliverGrouped(xs []*tensor.Tensor, tms []ThreatModel) []*ten
 		if len(idx) == 0 {
 			continue
 		}
-		outs := p.DeliverBatch(group, tm)
+		outs := p.AttackerModel(tm).ApplyBatch(group)
 		for j, i := range idx {
 			delivered[i] = outs[j]
 		}
@@ -239,13 +197,6 @@ func (p *Pipeline) DeliverGrouped(xs []*tensor.Tensor, tms []ThreatModel) []*ten
 // probabilities.
 func (p *Pipeline) Probs(x *tensor.Tensor, tm ThreatModel) []float64 {
 	return p.Net.Probs(p.Deliver(x, tm))
-}
-
-// ProbsBatch delivers every image under tm (batched through DeliverBatch)
-// and scores the whole batch through one batched network forward. Row i
-// is bit-identical to Probs(xs[i], tm).
-func (p *Pipeline) ProbsBatch(xs []*tensor.Tensor, tm ThreatModel) [][]float64 {
-	return p.Net.ProbsBatch(p.DeliverBatch(xs, tm))
 }
 
 // ProbsViews scores one image delivered under several threat models in a
@@ -268,9 +219,12 @@ func (p *Pipeline) Predict(x *tensor.Tensor, tm ThreatModel) (int, float64) {
 	return best, probs[best]
 }
 
-// AttackerModel returns the pre-processing stage a filter-aware (FAdeML)
-// attacker should fold into its differentiable model for the given threat
-// model: nothing under TM1, acquisition+filter under TM2, filter under TM3.
+// AttackerModel returns the pre-processing stage between the attacker's
+// image and the DNN under the given threat model: nothing under TM1,
+// acquisition then filter under TM2, the filter alone under TM3. It is
+// the one threat-model switch: Deliver and DeliverGrouped run this stage,
+// and a filter-aware (FAdeML) attacker folds it into its differentiable
+// model.
 func (p *Pipeline) AttackerModel(tm ThreatModel) filters.Filter {
 	switch tm {
 	case TM1:

@@ -174,8 +174,6 @@ type EvaluateRequest struct {
 type EvalCell struct {
 	// Attack is the crafting attack's canonical Name().
 	Attack string `json:"attack"`
-	// TM is the delivery threat model of the deployed measurement.
-	TM pipeline.ThreatModel `json:"-"`
 	// Filter is the canonical Name() of the pre-processing the cell was
 	// measured through (the deployed filter unless overridden).
 	Filter string `json:"filter"`
@@ -200,6 +198,9 @@ type EvalCell struct {
 	// Detection carries the detector verdict on the example's TM-I view
 	// when the sweep ran with a detection axis; nil otherwise.
 	Detection *CellDetection `json:"detection,omitempty"`
+	// TM is the delivery threat model of the deployed measurement (the
+	// last wire key).
+	TM pipeline.ThreatModel `json:"tm"`
 }
 
 // CellDetection is the detection-axis verdict of one grid cell: the
@@ -215,9 +216,8 @@ type CellDetection struct {
 // EvalSummary aggregates one attack × adaptive mode × threat model ×
 // filter series.
 type EvalSummary struct {
-	Attack string               `json:"attack"`
-	TM     pipeline.ThreatModel `json:"-"`
-	Filter string               `json:"filter"`
+	Attack string `json:"attack"`
+	Filter string `json:"filter"`
 	// Adaptive is the series' crafting mode.
 	Adaptive string `json:"adaptive"`
 	// FoolingRate is fooled cells / cells.
@@ -228,6 +228,8 @@ type EvalSummary struct {
 	// Detection aggregates the series' detection axis when the sweep ran
 	// with a detector; nil otherwise.
 	Detection *SummaryDetection `json:"detection,omitempty"`
+	// TM is the series' delivery threat model (the last wire key).
+	TM pipeline.ThreatModel `json:"tm"`
 }
 
 // SummaryDetection aggregates the detection axis of one evaluation
@@ -257,9 +259,8 @@ type SummaryDetection struct {
 // blind fooling rate looks low but whose EOT gap is large is not robust
 // — it was only obfuscating its gradients.
 type EvalGap struct {
-	Attack string               `json:"attack"`
-	TM     pipeline.ThreatModel `json:"-"`
-	Filter string               `json:"filter"`
+	Attack string `json:"attack"`
+	Filter string `json:"filter"`
 	// Adaptive is the stronger mode being compared against blind.
 	Adaptive string `json:"adaptive"`
 	// BlindRate and AdaptiveRate are the two series' fooling rates.
@@ -267,6 +268,8 @@ type EvalGap struct {
 	AdaptiveRate float64 `json:"adaptive_rate"`
 	// Gap is AdaptiveRate − BlindRate.
 	Gap float64 `json:"gap"`
+	// TM is the series' delivery threat model (the last wire key).
+	TM pipeline.ThreatModel `json:"tm"`
 }
 
 // EvaluateResult is the sweep outcome.
@@ -319,9 +322,9 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		return nil, errors.New("serve: evaluate needs cases (none in the request, none configured)")
 	}
 	// The filters axis: each entry overrides the deployed pre-processing
-	// for one series ("none" measures the unfiltered deployment); a nil
-	// entry keeps the deployment as-is.
-	flts := []filters.Filter{nil}
+	// for one series ("none" measures the unfiltered deployment); with no
+	// entries the deployed filter is the one series.
+	flts := []filters.Filter{s.filter}
 	if len(req.Filters) > 0 {
 		flts, err = parseEach(req.Filters, func(spec string) (filters.Filter, error) {
 			f, err := filters.Parse(spec)
@@ -408,16 +411,12 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		if err != nil {
 			return cr, cellErr(c, err)
 		}
-		pipe := a.pipe
-		if flt := flts[c.Filter]; flt != nil {
-			// Filter override: same attacker-slot network (the slot is
-			// held exclusively), different pre-processing in front of it.
-			pipe = pipeline.New(a.pipe.Net, flt, a.pipe.Acq)
-		}
 		craftCtx, cancel := s.attackContext(ctx)
 		ec := cases[c.Case]
 		cr.out, err = core.Craft(craftCtx, core.Run{
-			Pipeline: pipe,
+			// The attacker slot's network (held exclusively) behind the
+			// cell's filter and the deployed acquisition.
+			Pipeline: pipeline.New(a.pipe.Net, flts[c.Filter], s.acq),
 			Attack:   atks[c.Attack],
 			Adaptive: modes[c.Mode],
 			Seed:     evalEOTSeed,
@@ -442,16 +441,12 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		tm, ec := tms[c.TM], cases[c.Case]
 		// Measurement traffic is internal: the sweep already holds a
 		// bulk-lane slot, so its predictions must not consume interactive
-		// admission (or be refused mid-sweep by a drain). With a filter
-		// override, delivery runs on this goroutine and
-		// Net(DeliverThrough(x, ...)) is exactly the TM-I view of the
-		// delivered tensor.
-		filterName, view := s.filter.Name(), Request{Images: []*tensor.Tensor{cr.out.Adversarial}, TM: tm}
-		if flt := flts[c.Filter]; flt != nil {
-			filterName = flt.Name()
-			view = Request{Images: []*tensor.Tensor{pipeline.DeliverThrough(cr.out.Adversarial, flt, s.acq, tm)}, TM: pipeline.TM1}
-		}
-		dep, err := first(s.predict(ctx, m, view, false))
+		// admission (or be refused mid-sweep by a drain). Delivery through
+		// the cell's filter runs on this goroutine, and the pool scores
+		// the delivered tensor as its TM-I view.
+		flt := flts[c.Filter]
+		delivered := pipeline.New(m.proto.Net, flt, s.acq).Deliver(cr.out.Adversarial, tm)
+		dep, err := first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{delivered}, TM: pipeline.TM1}, false))
 		if err != nil {
 			return cellErr(c, err)
 		}
@@ -462,7 +457,7 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 		cells[c.Index] = EvalCell{
 			Attack:       atks[c.Attack].Name(),
 			TM:           tm,
-			Filter:       filterName,
+			Filter:       flt.Name(),
 			Adaptive:     modes[c.Mode].Name(),
 			Source:       ec.Source,
 			Target:       ec.Target,

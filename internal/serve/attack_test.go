@@ -191,6 +191,29 @@ func TestServerEvaluateDefaultsAndLimits(t *testing.T) {
 	if _, err := s.Evaluate(ctx, EvaluateRequest{Specs: []string{"fgsm"}, Cases: big}); err == nil {
 		t.Error("oversized evaluate grid accepted")
 	}
+
+	// An empty "tms" entry selects the attack threat model exactly as an
+	// omitted "tms" does, also on a server whose default is TM-I.
+	tm1 := New(servePipeline(t), Options{
+		Workers:      1,
+		DefaultTM:    pipeline.TM1,
+		AttackBudget: attacks.Budget{MaxQueries: 40},
+		Render:       gtsrb.Canonical,
+		EvalCases:    []EvalCase{{Source: 3, Target: 1}},
+	})
+	defer tm1.Close()
+	for _, body := range []string{`{"attacks": ["fgsm"]}`, `{"attacks": ["fgsm"], "tms": [""]}`} {
+		w := httptest.NewRecorder()
+		tm1.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body)))
+		var resp struct {
+			Cells []struct {
+				TM string `json:"tm"`
+			} `json:"cells"`
+		}
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil || len(resp.Cells) != 1 || resp.Cells[0].TM != "TM-III" {
+			t.Errorf("%s on a TM-I server = %d: %s", body, w.Code, w.Body.String())
+		}
+	}
 }
 
 // TestEvaluateValidatesBeforeCrafting pins up-front validation of the

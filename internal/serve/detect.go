@@ -200,11 +200,7 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 	defer leave()
 	// Delivery and squeezing are pure CPU work with no model state; they
 	// run on the request goroutine like Defend's filtering.
-	deliveredView := req.Image
-	if tm != pipeline.TM1 {
-		deliveredView = pipeline.DeliverThrough(req.Image, s.filter, s.acq, tm)
-	}
-	verdict, raw, err := s.detectOn(ctx, m, det, deliveredView)
+	verdict, raw, err := s.detectOn(ctx, m, det, m.proto.Deliver(req.Image, tm))
 	if err != nil {
 		return nil, err
 	}

@@ -149,10 +149,7 @@ func TestDetectFlaggedCorrection(t *testing.T) {
 		if p.Detection == nil || !p.Detection.Flagged || !p.Detection.Corrected {
 			t.Fatalf("tm %v: want flagged+corrected verdict, got %+v", tm, p.Detection)
 		}
-		view := img
-		if tm != pipeline.TM1 {
-			view = pipeline.DeliverThrough(img, filters.NewLAP(8), pipeline.DefaultAcquisition(11), tm)
-		}
+		view := pipeline.New(net, filters.NewLAP(8), pipeline.DefaultAcquisition(11)).Deliver(img, tm)
 		want := net.ProbsBatch([]*tensor.Tensor{correction.Apply(view)})[0]
 		for j := range want {
 			if p.Probs[j] != want[j] {

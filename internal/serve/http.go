@@ -495,28 +495,12 @@ func (r *evalHTTPRequest) wireMember(key []byte) any {
 	return nil
 }
 
-// evalHTTPCell adds the wire threat-model label to an EvalCell.
-type evalHTTPCell struct {
-	EvalCell
-	TM string `json:"tm"`
-}
-
-// evalHTTPSummary adds the wire threat-model label to an EvalSummary.
-type evalHTTPSummary struct {
-	EvalSummary
-	TM string `json:"tm"`
-}
-
-// evalHTTPGap adds the wire threat-model label to an EvalGap.
-type evalHTTPGap struct {
-	EvalGap
-	TM string `json:"tm"`
-}
-
 func (s *Server) routeEvaluate(ctx context.Context, req *evalHTTPRequest) (any, error) {
 	var tms []pipeline.ThreatModel
 	for _, spec := range req.TMs {
-		tm, err := parseTM(spec, s.opts.DefaultTM)
+		// An empty entry is 0: Evaluate resolves it as the attack threat
+		// model, the same as an omitted "tms" or /v1/attack's empty "tm".
+		tm, err := parseTM(spec, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -547,21 +531,9 @@ func (s *Server) routeEvaluate(ctx context.Context, req *evalHTTPRequest) (any, 
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]evalHTTPCell, len(out.Cells))
-	for i, c := range out.Cells {
-		cells[i] = evalHTTPCell{EvalCell: c, TM: c.TM.String()}
-	}
-	summaries := make([]evalHTTPSummary, len(out.Summaries))
-	for i, sm := range out.Summaries {
-		summaries[i] = evalHTTPSummary{EvalSummary: sm, TM: sm.TM.String()}
-	}
-	resp := map[string]any{"cells": cells, "summaries": summaries}
+	resp := map[string]any{"cells": out.Cells, "summaries": out.Summaries}
 	if len(out.Gaps) > 0 {
-		gaps := make([]evalHTTPGap, len(out.Gaps))
-		for i, g := range out.Gaps {
-			gaps[i] = evalHTTPGap{EvalGap: g, TM: g.TM.String()}
-		}
-		resp["gaps"] = gaps
+		resp["gaps"] = out.Gaps
 	}
 	return resp, nil
 }

@@ -347,9 +347,10 @@ type Server struct {
 	// detSpec is the canonical spec of the configured detector ("" when
 	// detection is off); it is part of every external prediction's cache
 	// key so toggling detect-then-correct can never replay a cached
-	// answer from the wrong routing mode. Guarded by detMu only around
-	// CalibrateDetector (a pre-traffic operation); the hot path reads it
-	// without locking.
+	// answer from the wrong routing mode. It is not synchronized:
+	// CalibrateDetector writes it and must run before the server takes
+	// external traffic (fademl-serve calibrates before its listener
+	// opens); the hot path reads it without locking.
 	detSpec string
 
 	// interactive and bulk are the admission lanes; cache the

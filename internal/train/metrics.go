@@ -81,9 +81,9 @@ func Clones(net *nn.Network, n int) []*nn.Network {
 // one goroutine per call. Each worker mini-batch is handed to transform as
 // a whole (raw samples plus their dataset indices) before the batched
 // forward pass — the hook the experiment harness uses to route evaluation
-// through attacks, acquisition and filters (Pipeline.DeliverBatch,
-// Filter.ApplyBatch). transform may be nil (clean evaluation); otherwise
-// it must be safe for concurrent calls. Results are bit-identical to a
+// through attacks, acquisition and filters (Filter.ApplyBatch of a filter
+// or of a Pipeline.AttackerModel stage). transform may be nil (clean
+// evaluation); otherwise it must be safe for concurrent calls. Results are bit-identical to a
 // serial run regardless of worker count.
 func Evaluate(nets []*nn.Network, ds Dataset, transform BatchTransform) Metrics {
 	if len(nets) == 0 {
