@@ -82,6 +82,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -169,7 +170,7 @@ func main() {
 	if correction != nil && detector == nil {
 		usageError(fmt.Errorf("-correct %q needs -detect (the correction chain only runs on flagged inputs)", *correctSpec))
 	}
-	if *detectFPR >= 1 {
+	if math.IsNaN(*detectFPR) || *detectFPR >= 1 {
 		usageError(fmt.Errorf("-detect-fpr %v out of range [0, 1) (negative keeps the spec's threshold)", *detectFPR))
 	}
 	profile, err := fademl.ParseProfile(*profileName)

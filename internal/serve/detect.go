@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/detect"
 	"repro/internal/nn"
@@ -257,7 +258,7 @@ func (s *Server) CalibrateDetector(ctx context.Context, images []*tensor.Tensor,
 	if len(images) == 0 {
 		return 0, errors.New("serve: calibrate needs at least one clean image")
 	}
-	if fpr < 0 || fpr >= 1 {
+	if math.IsNaN(fpr) || fpr < 0 || fpr >= 1 {
 		return 0, fmt.Errorf("serve: calibrate fpr %v out of range [0, 1)", fpr)
 	}
 	m, err := s.resolveModel("")

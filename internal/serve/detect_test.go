@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,6 +288,66 @@ func TestDetectScoresDeliveredView(t *testing.T) {
 				t.Fatalf("%v squeezer %s: Detect L1 %v, direct L1 %v", tm, sq.Squeezer, got, sq.L1)
 			}
 		}
+	}
+}
+
+// TestCalibrateDetectorMatchesLibrary pins the served calibration to the
+// library's: over the canonical signs, the threshold CalibrateDetector
+// picks equals detect.Default() calibrated on ScoreBatch's direct
+// scores, and DetectorSpec carries it.
+func TestCalibrateDetectorMatchesLibrary(t *testing.T) {
+	pipe := servePipeline(t)
+	imgs := make([]*tensor.Tensor, gtsrb.NumClasses)
+	for c := range imgs {
+		imgs[c] = gtsrb.Canonical(c, 16)
+	}
+	for _, fpr := range []float64{0, 0.05, 0.2} {
+		s := detectServer(t, detect.DefaultThreshold)
+		got, err := s.CalibrateDetector(context.Background(), imgs, fpr)
+		s.Close()
+		if err != nil {
+			t.Fatalf("fpr=%v: %v", fpr, err)
+		}
+		lib := detect.Default()
+		want, err := lib.Calibrate(pipe.Net, imgs, fpr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("fpr=%v: served threshold %v, library threshold %v", fpr, got, want)
+		}
+		if spec := s.DetectorSpec(); spec != lib.Name() {
+			t.Fatalf("fpr=%v: DetectorSpec %q, want %q", fpr, spec, lib.Name())
+		}
+	}
+}
+
+// TestCalibrateDetectorRejectsBadInput: a NaN or out-of-range target
+// rate and an empty clean set are errors, never a panic.
+func TestCalibrateDetectorRejectsBadInput(t *testing.T) {
+	s := detectServer(t, detect.DefaultThreshold)
+	defer s.Close()
+	imgs := []*tensor.Tensor{gtsrb.Canonical(0, 16), gtsrb.Canonical(1, 16)}
+	for _, c := range []struct {
+		name string
+		imgs []*tensor.Tensor
+		fpr  float64
+	}{
+		{"NaN", imgs, math.NaN()},
+		{"negative", imgs, -0.1},
+		{"one", imgs, 1},
+		{"no images", nil, 0.05},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.name, r)
+				}
+			}()
+			if _, err := s.CalibrateDetector(context.Background(), c.imgs, c.fpr); err == nil {
+				t.Errorf("%s: no error", c.name)
+			}
+		}()
 	}
 }
 
