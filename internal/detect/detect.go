@@ -10,14 +10,17 @@
 // Detectors are declarative in the attacks/filters style:
 // Parse("detect(squeezers=(bitdepth(bits=4),median(r=1)),thr=0.6)")
 // builds a configured instance and Name() renders the canonical
-// round-trippable spec. Thresholds are calibrated on clean data to a
-// target clean false-positive rate with Calibrate, and ROC/AUC turn
+// round-trippable spec. Calibrate sets the threshold from a sample of
+// clean scores to a target clean false-positive rate, and ROC/AUC turn
 // clean-vs-adversarial score sets into threshold-free quality numbers.
 //
-// Scoring is batched end to end: ScoreBatch squeezes the whole batch
-// with one ApplyBatch per squeezer and runs a single grouped ProbsBatch
-// over raw+squeezed variants, so one detect call costs one grouped
-// forward pass.
+// This package is the only code that knows how squeezed variants are
+// laid out and scored. Variants squeezes a batch with one ApplyBatch per
+// squeezer, in squeezer-major order; ScoreRows turns the raw rows and
+// the variants' rows into verdicts with the one flag rule (score >
+// Threshold). ScoreBatch runs both around a single grouped ProbsBatch;
+// the serving layer runs the same two calls around its own
+// micro-batching pool instead.
 package detect
 
 import (
@@ -115,40 +118,55 @@ type Score struct {
 	PerSqueezer []SqueezerScore `json:"per_squeezer,omitempty"`
 }
 
-// ScoreFromProbs computes the verdict from already-available
-// probability vectors: raw is Probs(x), squeezed[i] is
-// Probs(Squeezers[i](x)). This is the single scoring kernel every
-// entry point (direct, batched, and the serving layer, which reuses
-// rows it has already computed) funnels through.
-func (d *Detector) ScoreFromProbs(raw []float64, squeezed [][]float64) Score {
-	rawTop := argMax(raw)
-	s := Score{PerSqueezer: make([]SqueezerScore, len(squeezed))}
-	for i, sq := range squeezed {
-		l1 := l1Dist(raw, sq)
-		top := argMax(sq)
-		agrees := top == rawTop
-		if !agrees {
-			s.Top1Disagree++
-		}
-		if l1 > s.MaxL1 {
-			s.MaxL1 = l1
-		}
-		name := ""
-		if i < len(d.Squeezers) {
-			name = d.Squeezers[i].Name()
-		}
-		s.PerSqueezer[i] = SqueezerScore{Squeezer: name, L1: l1, Class: top, Agrees: agrees}
+// Variants returns the squeezed views of xs in squeezer-major order —
+// out[q*len(xs)+i] is Squeezers[q] applied to xs[i] — with one
+// ApplyBatch per squeezer. ScoreRows reads probability rows in this
+// layout, so a caller that runs the forward pass itself (the serving
+// layer, through its micro-batching pool) only has to keep the order.
+func (d *Detector) Variants(xs []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, 0, len(d.Squeezers)*len(xs))
+	for _, sq := range d.Squeezers {
+		out = append(out, sq.ApplyBatch(xs)...)
 	}
-	switch d.Metric {
-	case MetricTop1:
-		if n := len(squeezed); n > 0 {
-			s.Score = float64(s.Top1Disagree) / float64(n)
-		}
-	default:
-		s.Score = s.MaxL1
+	return out
+}
+
+// ScoreRows is the one scoring kernel: raw[i] is Probs(xs[i]) and
+// squeezed holds the probability rows of Variants(xs) in its layout.
+// out[i] is the verdict for xs[i], flagged when its score is strictly
+// greater than Threshold.
+func (d *Detector) ScoreRows(raw, squeezed [][]float64) []Score {
+	n, k := len(raw), len(d.Squeezers)
+	names := make([]string, k)
+	for q, sq := range d.Squeezers {
+		names[q] = sq.Name()
 	}
-	s.Flagged = s.Score > d.Threshold
-	return s
+	out := make([]Score, n)
+	for i, r := range raw {
+		rawTop := argMax(r)
+		s := Score{PerSqueezer: make([]SqueezerScore, k)}
+		for q := range k {
+			row := squeezed[q*n+i]
+			l1 := l1Dist(r, row)
+			top := argMax(row)
+			if top != rawTop {
+				s.Top1Disagree++
+			}
+			if l1 > s.MaxL1 {
+				s.MaxL1 = l1
+			}
+			s.PerSqueezer[q] = SqueezerScore{Squeezer: names[q], L1: l1, Class: top, Agrees: top == rawTop}
+		}
+		switch {
+		case d.Metric != MetricTop1:
+			s.Score = s.MaxL1
+		case k > 0:
+			s.Score = float64(s.Top1Disagree) / float64(k)
+		}
+		s.Flagged = s.Score > d.Threshold
+		out[i] = s
+	}
+	return out
 }
 
 // Score runs the detector on one input: one forward batch of
@@ -158,31 +176,12 @@ func (d *Detector) Score(p Prober, x *tensor.Tensor) Score {
 }
 
 // ScoreBatch scores every input. The whole call costs one ApplyBatch
-// per squeezer plus a single grouped forward pass over the
-// n×(1+len(Squeezers)) variant batch, and out[i] is bit-identical to
-// Score(p, xs[i]) because probability vectors are a per-image function
-// of the batched forward.
+// per squeezer plus a single grouped forward pass over xs followed by
+// Variants(xs), and out[i] is bit-identical to Score(p, xs[i]) because
+// probability vectors are a per-image function of the batched forward.
 func (d *Detector) ScoreBatch(p Prober, xs []*tensor.Tensor) []Score {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	k := len(d.Squeezers)
-	group := make([]*tensor.Tensor, 0, n*(k+1))
-	group = append(group, xs...)
-	for _, sq := range d.Squeezers {
-		group = append(group, sq.ApplyBatch(xs)...)
-	}
-	rows := p.ProbsBatch(group)
-	out := make([]Score, n)
-	squeezed := make([][]float64, k)
-	for i := 0; i < n; i++ {
-		for q := 0; q < k; q++ {
-			squeezed[q] = rows[(q+1)*n+i]
-		}
-		out[i] = d.ScoreFromProbs(rows[i], squeezed)
-	}
-	return out
+	rows := p.ProbsBatch(append(append([]*tensor.Tensor(nil), xs...), d.Variants(xs)...))
+	return d.ScoreRows(rows[:len(xs)], rows[len(xs):])
 }
 
 func l1Dist(a, b []float64) float64 {

@@ -138,9 +138,13 @@ func TestScoreBatchMatchesSerial(t *testing.T) {
 func TestCalibrateFPR(t *testing.T) {
 	net := testNet(t)
 	imgs := canonicalImages(gtsrb.NumClasses)
+	var clean []float64
+	for _, s := range Default().ScoreBatch(net, imgs) {
+		clean = append(clean, s.Score)
+	}
 	for _, fpr := range []float64{0, 0.05, 0.1, 0.2} {
 		d := Default()
-		thr, err := d.Calibrate(net, imgs, fpr)
+		thr, err := d.Calibrate(clean, fpr)
 		if err != nil {
 			t.Fatalf("Calibrate(fpr=%v): %v", fpr, err)
 		}
@@ -159,10 +163,10 @@ func TestCalibrateFPR(t *testing.T) {
 		}
 	}
 	d := Default()
-	if _, err := d.Calibrate(net, nil, 0.1); err == nil {
-		t.Error("Calibrate with no images: expected error")
+	if _, err := d.Calibrate(nil, 0.1); err == nil {
+		t.Error("Calibrate with no scores: expected error")
 	}
-	if _, err := d.Calibrate(net, imgs, 1.0); err == nil {
+	if _, err := d.Calibrate(clean, 1.0); err == nil {
 		t.Error("Calibrate with fpr=1: expected error")
 	}
 }

@@ -4,43 +4,27 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/tensor"
 )
 
-// Calibrate sets the detector threshold from clean data so that the
-// clean false-positive rate matches fpr as closely as the sample
-// allows: with n images and k = floor(fpr·n), the threshold is the
-// (n−k)-th smallest clean score, leaving exactly k clean images
-// strictly above it (scores tie-break conservatively — ties with the
-// threshold are not flagged). The chosen threshold is stored in
-// d.Threshold and returned.
-func (d *Detector) Calibrate(p Prober, images []*tensor.Tensor, fpr float64) (float64, error) {
-	if len(images) == 0 {
-		return 0, fmt.Errorf("detect: calibrate needs at least one clean image")
+// Calibrate sets the detector threshold from clean scores (the Score
+// field of clean inputs' verdicts) so that the clean false-positive rate
+// matches fpr as closely as the sample allows: with n scores and
+// k = floor(fpr·n), the threshold is the (n−k)-th smallest, leaving
+// exactly k clean scores strictly above it (scores tie-break
+// conservatively — ties with the threshold are not flagged). The chosen
+// threshold is stored in d.Threshold and returned; on error d is
+// unchanged.
+func (d *Detector) Calibrate(scores []float64, fpr float64) (float64, error) {
+	if len(scores) == 0 {
+		return 0, fmt.Errorf("detect: calibrate needs at least one clean score")
 	}
 	if math.IsNaN(fpr) || fpr < 0 || fpr >= 1 {
 		return 0, fmt.Errorf("detect: calibrate fpr %v out of range [0, 1)", fpr)
 	}
-	scores := d.ScoreBatch(p, images)
-	vals := make([]float64, len(scores))
-	for i, s := range scores {
-		vals[i] = s.Score
-	}
-	d.Threshold = QuantileThreshold(vals, fpr)
-	return d.Threshold, nil
-}
-
-// QuantileThreshold returns the flag cutoff that leaves
-// floor(fpr·len(scores)) clean scores strictly above it (modulo ties) —
-// the calibration quantile Calibrate applies, exported for callers that
-// gather clean scores through their own serving path.
-func QuantileThreshold(scores []float64, fpr float64) float64 {
 	vals := append([]float64(nil), scores...)
 	sort.Float64s(vals)
-	n := len(vals)
-	k := int(math.Floor(fpr * float64(n)))
-	return vals[n-1-k]
+	d.Threshold = vals[len(vals)-1-int(math.Floor(fpr*float64(len(vals))))]
+	return d.Threshold, nil
 }
 
 // ROCPoint is one operating point of the detector.

@@ -375,15 +375,15 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 	var cleanScores []float64
 	cleanFPR := 0.0
 	if det != nil {
-		cleanScores = make([]float64, len(cases))
+		verdicts, _, err := s.detectViews(ctx, m, det, imgs)
+		if err != nil {
+			return nil, fmt.Errorf("serve: evaluate clean detection: %w", err)
+		}
+		cleanScores = make([]float64, len(verdicts))
 		flagged := 0
-		for i, img := range imgs {
-			sc, _, err := s.detectOn(ctx, m, det, img)
-			if err != nil {
-				return nil, fmt.Errorf("serve: evaluate clean detection on case %d→%d: %w", cases[i].Source, cases[i].Target, err)
-			}
-			cleanScores[i] = sc.Score
-			if sc.Score > det.Threshold {
+		for i, v := range verdicts {
+			cleanScores[i] = v.Score
+			if v.Flagged {
 				flagged++
 			}
 		}
@@ -429,9 +429,11 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 			cr.tm1, err = first(s.predict(ctx, m, Request{Images: []*tensor.Tensor{cr.out.Adversarial}, TM: pipeline.TM1}, false))
 		}
 		if err == nil && det != nil {
-			var sc detect.Score
-			sc, _, err = s.detectOn(ctx, m, det, cr.out.Adversarial)
-			cr.det = &sc
+			var verdicts []detect.Score
+			verdicts, _, err = s.detectViews(ctx, m, det, []*tensor.Tensor{cr.out.Adversarial})
+			if err == nil {
+				cr.det = &verdicts[0]
+			}
 		}
 		if err != nil {
 			return cr, cellErr(c, err)
@@ -470,7 +472,7 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 			Queries:      cr.out.Queries,
 		}
 		if cr.det != nil {
-			cells[c.Index].Detection = &CellDetection{Score: cr.det.Score, Detected: cr.det.Score > det.Threshold}
+			cells[c.Index].Detection = &CellDetection{Score: cr.det.Score, Detected: cr.det.Flagged}
 		}
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/detect"
 	"repro/internal/nn"
@@ -47,69 +46,45 @@ func (s *Server) laneProbs(wp *pipeline.Pipeline, w32 *nn.Net32, prec pipeline.P
 
 // detectBatch is the worker-side detect-then-correct step. For each
 // precision lane present it squeezes the detected slots' delivered
-// tensors (one ApplyBatch per squeezer), scores all squeezed variants
-// in one grouped forward against the raw rows already in rows, and
-// re-routes flagged slots through the correction chain — one more
-// grouped forward over just the flagged set — replacing their rows.
-// Unflagged slots keep their raw rows untouched, which is what makes
-// clean-pass responses bit-identical to a non-detecting server.
+// tensors (det.Variants), scores the variants in one grouped forward
+// against the raw rows already in rows, and re-routes flagged slots
+// through the correction chain — one more grouped forward over just the
+// flagged set — replacing their rows. Unflagged slots keep their raw
+// rows untouched, which is what makes clean-pass responses
+// bit-identical to a non-detecting server.
 func (s *Server) detectBatch(det *detect.Detector, wp *pipeline.Pipeline, w32 *nn.Net32, batch []*pending, delivered []*tensor.Tensor, rows [][]float64) {
 	for _, prec := range []pipeline.Precision{pipeline.Float64, pipeline.Float32} {
 		var idx []int
+		var base []*tensor.Tensor
+		var raw [][]float64
 		for i, p := range batch {
 			if p.detect && p.prec == prec {
 				idx = append(idx, i)
+				base = append(base, delivered[i])
+				raw = append(raw, rows[i])
 			}
 		}
 		if len(idx) == 0 {
 			continue
 		}
-		base := make([]*tensor.Tensor, len(idx))
-		for j, i := range idx {
-			base[j] = delivered[i]
-		}
-		k := len(det.Squeezers)
-		squeezed := make([]*tensor.Tensor, 0, k*len(idx))
-		for _, sq := range det.Squeezers {
-			squeezed = append(squeezed, sq.ApplyBatch(base)...)
-		}
-		var sqRows [][]float64
-		if len(squeezed) > 0 {
-			sqRows = s.laneProbs(wp, w32, prec, squeezed)
-		}
-		scores := make([]detect.Score, len(idx))
-		var flagged []int // indices into idx
-		per := make([][]float64, k)
-		for j, i := range idx {
-			for q := 0; q < k; q++ {
-				per[q] = sqRows[q*len(idx)+j]
-			}
-			scores[j] = det.ScoreFromProbs(rows[i], per)
-			if scores[j].Flagged {
-				flagged = append(flagged, j)
+		var flagged []int // indices into batch
+		for j, sc := range det.ScoreRows(raw, s.laneProbs(wp, w32, prec, det.Variants(base))) {
+			i := idx[j]
+			batch[i].verdict = &Detection{Score: sc.Score, Threshold: det.Threshold, Flagged: sc.Flagged, Corrected: sc.Flagged}
+			s.metrics.recordDetection(sc.Score, sc.Flagged, sc.Flagged)
+			if sc.Flagged {
+				flagged = append(flagged, i)
 			}
 		}
-		var corrRows [][]float64
-		if len(flagged) > 0 && s.opts.Correction != nil {
-			corrBase := make([]*tensor.Tensor, len(flagged))
-			for q, j := range flagged {
-				corrBase[q] = delivered[idx[j]]
-			}
-			corrRows = s.laneProbs(wp, w32, prec, s.opts.Correction.ApplyBatch(corrBase))
-			for q, j := range flagged {
-				rows[idx[j]] = corrRows[q]
-			}
+		if len(flagged) == 0 {
+			continue
 		}
-		for j, i := range idx {
-			sc := scores[j]
-			corrected := sc.Flagged && corrRows != nil
-			batch[i].verdict = &Detection{
-				Score:     sc.Score,
-				Threshold: det.Threshold,
-				Flagged:   sc.Flagged,
-				Corrected: corrected,
-			}
-			s.metrics.recordDetection(sc.Score, sc.Flagged, corrected)
+		corrBase := make([]*tensor.Tensor, len(flagged))
+		for q, i := range flagged {
+			corrBase[q] = delivered[i]
+		}
+		for q, r := range s.laneProbs(wp, w32, prec, s.opts.Correction.ApplyBatch(corrBase)) {
+			rows[flagged[q]] = r
 		}
 	}
 }
@@ -201,12 +176,13 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 	defer leave()
 	// Delivery and squeezing are pure CPU work with no model state; they
 	// run on the request goroutine like Defend's filtering.
-	verdict, raw, err := s.detectOn(ctx, m, det, m.proto.Deliver(req.Image, tm))
+	verdicts, raw, err := s.detectViews(ctx, m, det, []*tensor.Tensor{m.proto.Deliver(req.Image, tm)})
 	if err != nil {
 		return nil, err
 	}
+	verdict := verdicts[0]
 	s.metrics.recordDetection(verdict.Score, verdict.Flagged, false)
-	pred := copyPrediction(raw)
+	pred := copyPrediction(raw[0])
 	pred.TM = tm
 	pred.Detection = &Detection{Score: verdict.Score, Threshold: det.Threshold, Flagged: verdict.Flagged}
 	res := &DetectResult{
@@ -222,60 +198,55 @@ func (s *Server) Detect(ctx context.Context, req DetectRequest) (*DetectResult, 
 	return res, nil
 }
 
-// detectOn scores one already-delivered view: raw image plus squeezed
-// variants through the model's pool as one internal predict (they
-// coalesce into the same micro-batch; the caller's slot already accounts
-// for the job), then the detector's scoring kernel over the probability
-// rows. Returns the verdict and the raw-view prediction.
-func (s *Server) detectOn(ctx context.Context, m *servedModel, det *detect.Detector, view *tensor.Tensor) (detect.Score, Prediction, error) {
-	variants := make([]*tensor.Tensor, 0, len(det.Squeezers)+1)
-	variants = append(variants, view)
-	for _, sq := range det.Squeezers {
-		variants = append(variants, sq.Apply(view))
-	}
-	preds, err := s.predict(ctx, m, Request{Images: variants, TM: pipeline.TM1}, false)
+// detectViews scores already-delivered views: the views and their
+// squeezed variants (det.Variants) go through the model's pool as one
+// internal predict — they coalesce into shared micro-batches, and the
+// caller's slot already accounts for the job — and det.ScoreRows scores
+// the probability rows. Returns the verdicts and the raw-view
+// predictions, both in views order. It records no verdict counters.
+func (s *Server) detectViews(ctx context.Context, m *servedModel, det *detect.Detector, views []*tensor.Tensor) ([]detect.Score, []Prediction, error) {
+	all := append(append([]*tensor.Tensor(nil), views...), det.Variants(views)...)
+	preds, err := s.predict(ctx, m, Request{Images: all, TM: pipeline.TM1}, false)
 	if err != nil {
-		return detect.Score{}, Prediction{}, err
+		return nil, nil, err
 	}
-	squeezed := make([][]float64, len(preds)-1)
-	for i := range squeezed {
-		squeezed[i] = preds[i+1].Probs
+	rows := make([][]float64, len(preds))
+	for i, p := range preds {
+		rows[i] = p.Probs
 	}
-	return det.ScoreFromProbs(preds[0].Probs, squeezed), preds[0], nil
+	n := len(views)
+	return det.ScoreRows(rows[:n], rows[n:]), preds[:n], nil
 }
 
 // CalibrateDetector re-anchors the configured detector's threshold to a
-// target clean false-positive rate over images, scoring through the
-// active model's micro-batching pool (so the calibration view is
-// exactly the serving view). It must run before the server takes
-// external traffic — the threshold and the cache-key spec are updated
-// in place. Returns the chosen threshold.
+// target clean false-positive rate over images (see
+// detect.Detector.Calibrate), scoring all of them in one detectViews
+// call through the active model's micro-batching pool, so the
+// calibration view is exactly the serving view. It must run before the
+// server takes external traffic — the threshold and the cache-key spec
+// are updated in place. Returns the chosen threshold.
 func (s *Server) CalibrateDetector(ctx context.Context, images []*tensor.Tensor, fpr float64) (float64, error) {
 	det := s.opts.Detector
 	if det == nil {
 		return 0, errors.New("serve: no detector configured")
-	}
-	if len(images) == 0 {
-		return 0, errors.New("serve: calibrate needs at least one clean image")
-	}
-	if math.IsNaN(fpr) || fpr < 0 || fpr >= 1 {
-		return 0, fmt.Errorf("serve: calibrate fpr %v out of range [0, 1)", fpr)
 	}
 	m, err := s.resolveModel("")
 	if err != nil {
 		return 0, err
 	}
 	defer m.release()
-	scores := make([]float64, len(images))
-	for i, img := range images {
-		sc, _, err := s.detectOn(ctx, m, det, img)
-		if err != nil {
-			return 0, err
-		}
-		scores[i] = sc.Score
+	verdicts, _, err := s.detectViews(ctx, m, det, images)
+	if err != nil {
+		return 0, err
 	}
-	thr := detect.QuantileThreshold(scores, fpr)
-	det.Threshold = thr
+	scores := make([]float64, len(verdicts))
+	for i, v := range verdicts {
+		scores[i] = v.Score
+	}
+	thr, err := det.Calibrate(scores, fpr)
+	if err != nil {
+		return 0, err
+	}
 	s.detSpec = det.Name()
 	return thr, nil
 }

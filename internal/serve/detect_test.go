@@ -309,7 +309,11 @@ func TestCalibrateDetectorMatchesLibrary(t *testing.T) {
 			t.Fatalf("fpr=%v: %v", fpr, err)
 		}
 		lib := detect.Default()
-		want, err := lib.Calibrate(pipe.Net, imgs, fpr)
+		var scores []float64
+		for _, sc := range lib.ScoreBatch(pipe.Net, imgs) {
+			scores = append(scores, sc.Score)
+		}
+		want, err := lib.Calibrate(scores, fpr)
 		if err != nil {
 			t.Fatal(err)
 		}
