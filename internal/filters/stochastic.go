@@ -3,6 +3,7 @@ package filters
 import (
 	"math"
 
+	"repro/internal/mathx"
 	"repro/internal/tensor"
 )
 
@@ -72,12 +73,7 @@ func IsStochastic(f Filter) bool {
 // EOT draw k, chain stage i — via a SplitMix64 step, so consecutive
 // indices decorrelate completely while staying reproducible.
 func DrawSeed(base uint64, draw int) uint64 {
-	h := base + 0x9e3779b97f4a7c15*uint64(draw+1)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return mathx.Mix64(base + 0x9e3779b97f4a7c15*uint64(draw+1))
 }
 
 // ImageSeed hashes a base seed, the image shape and every pixel's bit
@@ -101,9 +97,5 @@ func ImageSeed(seed uint64, img *tensor.Tensor) uint64 {
 	for _, v := range img.Data() {
 		mix(math.Float64bits(v))
 	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return mathx.Mix64(h)
 }

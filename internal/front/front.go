@@ -176,7 +176,10 @@ func (f *Front) jitter(d time.Duration) time.Duration {
 
 // rendezvousOrder ranks replicas for a request key: healthy replicas
 // first, then by highest-random-weight score, so the same key prefers
-// the same replica while the healthy set is stable.
+// the same replica while the healthy set is stable. The score is FNV-64a
+// over url‖0‖key finished with mathx.Mix64: raw FNV's high bits barely
+// depend on the key's last bytes, so one replica could win almost every
+// key.
 func (f *Front) rendezvousOrder(key []byte) []*replica {
 	type scored struct {
 		r     *replica
@@ -188,7 +191,7 @@ func (f *Front) rendezvousOrder(key []byte) []*replica {
 		h.Write([]byte(r.url))
 		h.Write([]byte{0})
 		h.Write(key)
-		order = append(order, scored{r, h.Sum64()})
+		order = append(order, scored{r, mathx.Mix64(h.Sum64())})
 	}
 	sort.Slice(order, func(i, j int) bool {
 		hi, hj := order[i].r.healthy.Load(), order[j].r.healthy.Load()

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/mathx"
 )
 
 // stub is one fake backend: counts requests, answers with its id, and
@@ -111,8 +113,19 @@ func TestAffinity(t *testing.T) {
 func TestRetryOnTransportFailure(t *testing.T) {
 	f, stubs, _ := cluster(t, 3, Options{ProbeInterval: time.Hour, RetryBase: time.Millisecond})
 	stubs[1].down.Store(true)
+	// A retry happens only for a key the killed replica ranks first, so
+	// ask the router for one rather than hope the 24 keys cover it.
+	body := func(key int) string { return fmt.Sprintf(`{"pixels":[%d]}`, key) }
+	killedFirst := 0
+	for f.rendezvousOrder([]byte(body(killedFirst)))[0] != f.replicas[1] {
+		killedFirst++
+	}
+	keys := []int{killedFirst}
 	for key := 0; key < 24; key++ {
-		w, got := post(t, f, "/v1/predict", fmt.Sprintf(`{"pixels":[%d]}`, key))
+		keys = append(keys, key)
+	}
+	for _, key := range keys {
+		w, got := post(t, f, "/v1/predict", body(key))
 		if w.Code != http.StatusOK {
 			t.Fatalf("key %d: status %d body %s", key, w.Code, w.Body.String())
 		}
@@ -125,6 +138,41 @@ func TestRetryOnTransportFailure(t *testing.T) {
 	}
 	if f.failed.Load() != 0 {
 		t.Fatalf("%d requests failed outright", f.failed.Load())
+	}
+}
+
+// TestRendezvousBalance: the router spreads request keys evenly. Over
+// 50 seeded triples of loopback URLs, each of 3 replicas ranks first for
+// 28–39 % of 3 000 keys. Raw FNV-64a scores, whose high bits barely move
+// with a key's last bytes, let one replica take as much as 46 %.
+func TestRendezvousBalance(t *testing.T) {
+	keys := make([][]byte, 3000)
+	for k := range keys {
+		keys[k] = []byte(fmt.Sprintf(`{"pixels":[%d]}`, k))
+	}
+	rng := mathx.NewRNG(1)
+	for trial := 0; trial < 50; trial++ {
+		f := &Front{}
+		ports := map[int]bool{}
+		for len(ports) < 3 {
+			port := 1024 + rng.IntN(64512)
+			if ports[port] {
+				continue
+			}
+			ports[port] = true
+			r := &replica{url: fmt.Sprintf("http://127.0.0.1:%d", port)}
+			r.healthy.Store(true)
+			f.replicas = append(f.replicas, r)
+		}
+		wins := map[*replica]int{}
+		for _, k := range keys {
+			wins[f.rendezvousOrder(k)[0]]++
+		}
+		for _, r := range f.replicas {
+			if share := float64(wins[r]) / float64(len(keys)); share < 0.28 || share > 0.39 {
+				t.Errorf("trial %d: %s ranks first for %.1f %% of keys, want 28–39 %%", trial, r.url, 100*share)
+			}
+		}
 	}
 }
 

@@ -51,3 +51,15 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
+
+// Mix64 is the SplitMix64 finalizer: a bijective avalanche of h in which
+// every input bit flips each output bit with probability about ½. It
+// turns structured 64-bit values (counters, FNV sums) into well-mixed
+// seeds and scores.
+func Mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ (h >> 31)
+}

@@ -106,3 +106,14 @@ func TestRNGIntN(t *testing.T) {
 		}
 	}
 }
+
+// TestMix64 pins the finalizer to the published SplitMix64 stream: its
+// first two outputs from state 0 are Mix64 of the first two increments.
+func TestMix64(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4} {
+		if got := Mix64(gamma * uint64(i+1)); got != want {
+			t.Errorf("Mix64(%d·γ) = %#x, want %#x", i+1, got, want)
+		}
+	}
+}
