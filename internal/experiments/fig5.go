@@ -13,52 +13,62 @@ import (
 	"repro/internal/tensor"
 )
 
-// buildAttack constructs a library attack with the experiment budgets used
-// across all figures (slightly larger than the library defaults so the
-// targeted payloads of the scenario table succeed reliably on the scaled
-// VGG; tabled as spec strings under "Figure budgets" in ATTACKS.md).
-func buildAttack(name string) (attacks.Attack, error) {
-	switch name {
-	case "fgsm":
-		return &attacks.FGSM{Epsilon: 0.05}, nil
-	case "bim":
-		return &attacks.BIM{Epsilon: 0.10, Alpha: 0.008, Steps: 40, EarlyStop: true}, nil
-	case "lbfgs":
-		return &attacks.LBFGS{InitialC: 10, CSteps: 5, MaxIter: 30}, nil
-	case "pgd":
-		return &attacks.PGD{Epsilon: 0.10, Alpha: 0.01, Steps: 40, Restarts: 2, Seed: 11}, nil
-	case "cw":
-		return &attacks.CW{Kappa: 0, Steps: 100, LR: 0.05, InitialC: 5, BinarySearch: 3}, nil
-	default:
-		// Anything else resolves as an attack spec string, so scenario and
-		// sweep configurations can name parameterized attacks like
-		// "pgd(eps=0.06,steps=10)" wherever a library name is accepted.
-		return attacks.Parse(name)
+// The figure runners' attack budgets, as spec strings tabled under
+// "Figure budgets" in ATTACKS.md. Each runner looks a name up in its own
+// map; any other name resolves through attacks.Parse, so scenario and
+// sweep configurations can name parameterized attacks like
+// "pgd(eps=0.06,steps=10)" wherever a library name is accepted.
+var (
+	// blindBudgets serve Fig 5 and Fig 7: slightly larger than the
+	// library defaults so the targeted payloads of the scenario table
+	// succeed reliably on the scaled VGG.
+	blindBudgets = map[string]string{
+		"fgsm":  "fgsm(eps=0.05)",
+		"bim":   "bim(eps=0.1,alpha=0.008,steps=40,early=true)",
+		"lbfgs": "lbfgs(c=10,csteps=5,iters=30)",
+		"pgd":   "pgd(eps=0.1,alpha=0.01,steps=40,restarts=2,seed=11)",
+		"cw":    "cw(kappa=0,steps=100,lr=0.05,c=5,search=3)",
 	}
-}
+	// awareBudgets serve the FAdeML wrapper of the Fig 9 sweeps. A
+	// filter-aware attacker spends a larger budget than the filter-blind
+	// baseline: smoothing attenuates whatever perturbation reaches the
+	// DNN, so equal-budget comparisons would understate the attack the
+	// paper describes (which explicitly notes FAdeML's larger accuracy
+	// impact). The optimization-based attacks (L-BFGS, C&W) need little
+	// inflation — their real-valued noise already concentrates in
+	// filter-surviving low frequencies.
+	awareBudgets = map[string]string{
+		"fgsm":  "fgsm(eps=0.25)",
+		"bim":   "bim(eps=0.25,alpha=0.02,steps=60,early=true)",
+		"lbfgs": "lbfgs(c=5,csteps=6,iters=50)",
+		"pgd":   "pgd(eps=0.25,alpha=0.025,steps=60,restarts=2,seed=11)",
+		"cw":    "cw(kappa=0,steps=150,lr=0.05,c=5,search=3)",
+	}
+	// fig6Budgets serve the whole-stream attacks of Fig 6 at the classic
+	// imperceptible 8/255 budget, which is the library default of fgsm
+	// and bim. The paper reports the attacks cost "up to 10%" of overall
+	// top-5 accuracy — a statement about imperceptible perturbations
+	// applied to every input, not the larger per-payload budgets of
+	// Fig 5. A high distortion weight keeps the L-BFGS noise comparably
+	// small; pgd and cw keep their Fig 5 budgets.
+	fig6Budgets = map[string]string{
+		"lbfgs": "lbfgs(c=40,csteps=3,iters=25)",
+		"pgd":   blindBudgets["pgd"],
+		"cw":    blindBudgets["cw"],
+	}
 
-// buildFilterAwareAttack constructs the attack used inside a FAdeML
-// wrapper for the Fig. 9 sweeps. A filter-aware attacker spends a larger
-// budget than the filter-blind baseline: smoothing attenuates whatever
-// perturbation reaches the DNN, so equal-budget comparisons would
-// understate the attack the paper describes (which explicitly notes
-// FAdeML's larger accuracy impact). The optimization-based attacks
-// (L-BFGS, C&W) need no inflation — their real-valued noise already
-// concentrates in filter-surviving low frequencies.
-func buildFilterAwareAttack(name string) (attacks.Attack, error) {
-	switch name {
-	case "fgsm":
-		return &attacks.FGSM{Epsilon: 0.25}, nil
-	case "bim":
-		return &attacks.BIM{Epsilon: 0.25, Alpha: 0.02, Steps: 60, EarlyStop: true}, nil
-	case "pgd":
-		return &attacks.PGD{Epsilon: 0.25, Alpha: 0.025, Steps: 60, Restarts: 2, Seed: 11}, nil
-	case "lbfgs":
-		return &attacks.LBFGS{InitialC: 5, CSteps: 6, MaxIter: 50}, nil
-	case "cw":
-		return &attacks.CW{Kappa: 0, Steps: 150, LR: 0.05, InitialC: 5, BinarySearch: 3}, nil
-	default:
-		return buildAttack(name)
+	buildAttack            = budgeted(blindBudgets)
+	buildFilterAwareAttack = budgeted(awareBudgets)
+	buildFig6Attack        = budgeted(fig6Budgets)
+)
+
+// budgeted returns the attack builder for one figure's budget map.
+func budgeted(budgets map[string]string) func(string) (attacks.Attack, error) {
+	return func(name string) (attacks.Attack, error) {
+		if spec, ok := budgets[name]; ok {
+			name = spec
+		}
+		return attacks.Parse(name)
 	}
 }
 

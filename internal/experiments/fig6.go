@@ -28,26 +28,6 @@ type Fig6Result struct {
 	Cells   []Fig6Cell
 }
 
-// buildFig6Attack constructs the whole-stream attacks of Fig. 6 at the
-// classic imperceptible 8/255 budget. The paper reports the attacks cost
-// "up to 10%" of overall top-5 accuracy — that statement is about
-// imperceptible perturbations applied to every input, not the larger
-// per-payload budgets of Fig. 5, so Fig. 6 uses the smaller budget.
-func buildFig6Attack(name string) (attacks.Attack, error) {
-	eps := 8.0 / 255
-	switch name {
-	case "fgsm":
-		return &attacks.FGSM{Epsilon: eps}, nil
-	case "bim":
-		return &attacks.BIM{Epsilon: eps, Alpha: eps / 8, Steps: 16, EarlyStop: true}, nil
-	case "lbfgs":
-		// A high distortion weight keeps the L-BFGS noise comparably small.
-		return &attacks.LBFGS{InitialC: 40, CSteps: 3, MaxIter: 25}, nil
-	default:
-		return buildAttack(name)
-	}
-}
-
 // RunFig6 measures top-5 accuracy under each attack × scenario over the
 // profile's attack-eval subset (nil attackNames = the paper trio): one
 // craftStream grid with every (scenario, image) on the case axis, then a

@@ -124,10 +124,10 @@ type DetectResult struct {
 	Prediction *Prediction
 }
 
-// Detect scores one image against a discrepancy detector: the raw
-// delivered view plus every squeezed variant are enqueued together on
-// the micro-batching pool — they coalesce into the same micro-batch, so
-// one detect call costs one grouped forward pass — and the resulting
+// Detect scores one image against a discrepancy detector: detectViews
+// enqueues the raw delivered view plus every squeezed variant together
+// on the micro-batching pool — they coalesce into the same micro-batch,
+// so one detect call costs one grouped forward pass — and the resulting
 // probability vectors feed the detector's scoring kernel. Detect rides
 // the interactive admission lane under Options.DefendDeadline, and
 // results are content-addressed: a repeat (image, detector spec, tm)
