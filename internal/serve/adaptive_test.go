@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -90,6 +92,43 @@ func TestEvaluateAdaptiveLegacyLabels(t *testing.T) {
 		}
 		if res.Gaps != nil {
 			t.Errorf("FilterAware=%v: legacy sweep reported gaps", c.aware)
+		}
+	}
+}
+
+// TestAwareIsBPDAOverHTTP pins the "aware" wire key: on /v1/attack and
+// /v1/evaluate, "aware": true answers byte for byte what the explicit
+// bpda crafting mode answers.
+func TestAwareIsBPDAOverHTTP(t *testing.T) {
+	s := attackServer(t, attacks.Budget{MaxQueries: 60})
+	defer s.Close()
+	h := s.Handler()
+	post := func(path string, body map[string]any) []byte {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d: %s", path, data, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	for _, c := range []struct {
+		path     string
+		body     map[string]any
+		adaptive any
+	}{
+		{"/v1/attack", map[string]any{"attack": "bim(eps=0.1,alpha=0.02,steps=5)", "source": 3, "target": 1, "tm": "3", "adv": true}, "bpda"},
+		{"/v1/evaluate", map[string]any{"attacks": []string{"fgsm(eps=0.1)"}, "tms": []string{"3"}, "filters": []string{"median(r=1)"}}, []string{"bpda"}},
+	} {
+		aware, explicit := maps.Clone(c.body), maps.Clone(c.body)
+		aware["aware"] = true
+		explicit["adaptive"] = c.adaptive
+		if got, want := post(c.path, aware), post(c.path, explicit); !bytes.Equal(got, want) {
+			t.Errorf("%s: \"aware\": true answered\n%.400s\nwant the bpda answer\n%.400s", c.path, got, want)
 		}
 	}
 }
