@@ -52,16 +52,6 @@ func (p imagePayload) tensor() (*tensor.Tensor, error) {
 	return tensor.FromSlice(p.Pixels, p.Shape...), nil
 }
 
-func (p *imagePayload) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "pixels"):
-		return &p.Pixels
-	case wireKey(key, "shape"):
-		return &p.Shape
-	}
-	return nil
-}
-
 // predictRequest is the /v1/predict body: one image, an optional threat
 // model ("1".."3", "tm2", "TM-II", … — empty selects the server default)
 // and whether to echo the full probability vector.
@@ -77,20 +67,6 @@ type predictRequest struct {
 	ReturnProbs bool   `json:"probs,omitempty"`
 }
 
-func (r *predictRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "tm"):
-		return &r.TM
-	case wireKey(key, "precision"):
-		return &r.Precision
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "probs"):
-		return &r.ReturnProbs
-	}
-	return r.imagePayload.wireMember(key)
-}
-
 // predictBatchRequest is the /v1/predict_batch body.
 type predictBatchRequest struct {
 	Images      []imagePayload `json:"images"`
@@ -98,22 +74,6 @@ type predictBatchRequest struct {
 	Precision   string         `json:"precision,omitempty"`
 	Model       string         `json:"model,omitempty"`
 	ReturnProbs bool           `json:"probs,omitempty"`
-}
-
-func (r *predictBatchRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "images"):
-		return &r.Images
-	case wireKey(key, "tm"):
-		return &r.TM
-	case wireKey(key, "precision"):
-		return &r.Precision
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "probs"):
-		return &r.ReturnProbs
-	}
-	return nil
 }
 
 // predictResponse is the wire form of one Prediction.
@@ -193,20 +153,6 @@ type defendHTTPRequest struct {
 	ReturnPixels *bool `json:"return_pixels,omitempty"`
 }
 
-func (r *defendHTTPRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "filter"):
-		return &r.Filter
-	case wireKey(key, "predict"):
-		return &r.Predict
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "return_pixels"):
-		return &r.ReturnPixels
-	}
-	return r.imagePayload.wireMember(key)
-}
-
 // defendHTTPResponse is the /v1/defend reply.
 type defendHTTPResponse struct {
 	Filter string    `json:"filter"`
@@ -249,18 +195,6 @@ type detectHTTPRequest struct {
 	TM       string `json:"tm,omitempty"`
 	// Model selects the probing model ("" = active default).
 	Model string `json:"model,omitempty"`
-}
-
-func (r *detectHTTPRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "detector"):
-		return &r.Detector
-	case wireKey(key, "tm"):
-		return &r.TM
-	case wireKey(key, "model"):
-		return &r.Model
-	}
-	return r.imagePayload.wireMember(key)
 }
 
 // detectHTTPResponse is the /v1/detect reply: the verdict, the
@@ -327,28 +261,6 @@ type attackHTTPRequest struct {
 	Model string `json:"model,omitempty"`
 	// ReturnAdv echoes the crafted adversarial image in the response.
 	ReturnAdv bool `json:"adv,omitempty"`
-}
-
-func (r *attackHTTPRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "attack"):
-		return &r.Attack
-	case wireKey(key, "source"):
-		return &r.Source
-	case wireKey(key, "target"):
-		return &r.Target
-	case wireKey(key, "tm"):
-		return &r.TM
-	case wireKey(key, "aware"):
-		return &r.Aware
-	case wireKey(key, "adaptive"):
-		return &r.Adaptive
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "adv"):
-		return &r.ReturnAdv
-	}
-	return r.imagePayload.wireMember(key)
 }
 
 // attackHTTPResponse flattens a core.Outcome onto the wire.
@@ -438,20 +350,6 @@ type evalHTTPCase struct {
 	Shape  []int     `json:"shape,omitempty"`
 }
 
-func (c *evalHTTPCase) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "source"):
-		return &c.Source
-	case wireKey(key, "target"):
-		return &c.Target
-	case wireKey(key, "pixels"):
-		return &c.Pixels
-	case wireKey(key, "shape"):
-		return &c.Shape
-	}
-	return nil
-}
-
 // evalHTTPRequest is the /v1/evaluate body.
 type evalHTTPRequest struct {
 	Attacks []string `json:"attacks"`
@@ -471,28 +369,6 @@ type evalHTTPRequest struct {
 	// selects the default ensemble), "none" to disable for this sweep,
 	// empty to inherit the server's configured detector.
 	Detector string `json:"detector,omitempty"`
-}
-
-func (r *evalHTTPRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "attacks"):
-		return &r.Attacks
-	case wireKey(key, "tms"):
-		return &r.TMs
-	case wireKey(key, "filters"):
-		return &r.Filters
-	case wireKey(key, "cases"):
-		return &r.Cases
-	case wireKey(key, "aware"):
-		return &r.Aware
-	case wireKey(key, "adaptive"):
-		return &r.Adaptive
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "detector"):
-		return &r.Detector
-	}
-	return nil
 }
 
 func (s *Server) routeEvaluate(ctx context.Context, req *evalHTTPRequest) (any, error) {
@@ -663,18 +539,6 @@ type modelsActionRequest struct {
 	Keep bool `json:"keep,omitempty"`
 }
 
-func (r *modelsActionRequest) wireMember(key []byte) any {
-	switch {
-	case wireKey(key, "action"):
-		return &r.Action
-	case wireKey(key, "model"):
-		return &r.Model
-	case wireKey(key, "keep"):
-		return &r.Keep
-	}
-	return nil
-}
-
 // handleModels is the /v1/models route. GET lists the active version,
 // every loaded version, and (when a registry is configured) the
 // registry's catalog; POST executes a load/activate/unload action.
@@ -763,15 +627,12 @@ func parseTM(spec string, def pipeline.ThreatModel) (pipeline.ThreatModel, error
 // body is a pure function of its decoded request. A body just returns its
 // input errors: writeServeError's default arm is the 400 bad_request
 // reply.
-func post[R any, P interface {
-	*R
-	wireObject
-}](body func(context.Context, P) (any, error)) http.HandlerFunc {
+func post[R any](body func(context.Context, *R) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !requireMethod(w, r, http.MethodPost) {
 			return
 		}
-		req := P(new(R))
+		req := new(R)
 		if !decodeJSON(w, r, req) {
 			return
 		}
@@ -797,7 +658,7 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 // decodes it into dst with the wire decoder (wire.go). On failure it
 // writes the error response — 413 for a body over maxBodyBytes, 400 for
 // everything else — and returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst wireObject) bool {
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	d := wirePool.Get().(*wireDecoder)
 	defer d.release()
 	var err error

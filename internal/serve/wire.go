@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"unicode/utf8"
 )
 
-// This file is the request side of the wire: one single-pass,
-// reflection-free JSON decoder shared by every POST route. A request
-// struct names its members (wireMember); the decoder walks the body once
-// and decodes each member by the type of its destination. "pixels" arrays
+// This file is the request side of the wire: one single-pass JSON
+// decoder shared by every POST route. A request struct's json tags are
+// its schema, read once per type into a cached field table (wireFields)
+// — the decoder's only reflection; the decoder walks the body once and
+// decodes each member by the type of its destination. "pixels" arrays
 // — 58 KB of a 58 KB /v1/predict body — go through a strict RFC 8259
 // number scanner into strconv.ParseFloat, the function encoding/json
 // itself calls, so every pixel is bit-identical by construction. Plain
@@ -24,19 +26,38 @@ import (
 // json.Unmarshal accepts, the result is reflect.DeepEqual to
 // json.Unmarshal's (FuzzWireDecode).
 
-// wireObject is a request struct the wire decoder can fill.
-type wireObject interface {
-	// wireMember returns a pointer to the field the unquoted member name
-	// key decodes into, or nil for a member the struct does not have. Use
-	// wireKey to compare names.
-	wireMember(key []byte) any
+// wireField is one member a request struct decodes: its JSON name and
+// the index path of the field that takes it.
+type wireField struct {
+	name  string
+	index []int
 }
 
-// wireKey reports whether a JSON member name selects the field tagged
-// name, as encoding/json matches them: under Unicode simple case folding
-// (its exact-match-first rule only matters when two tags fold together).
-func wireKey(key []byte, name string) bool {
-	return strings.EqualFold(string(key), name)
+// wireFieldTables caches wireFields per struct type.
+var wireFieldTables sync.Map // reflect.Type → []wireField
+
+// wireFields returns the member table of struct type t, read from its
+// json tags as encoding/json reads them: the tag name before the comma,
+// or the Go name when the tag has none. Unexported, anonymous and "-"
+// fields are skipped, so an embedded struct's fields are promoted.
+func wireFields(t reflect.Type) []wireField {
+	if fs, ok := wireFieldTables.Load(t); ok {
+		return fs.([]wireField)
+	}
+	var fs []wireField
+	for _, f := range reflect.VisibleFields(t) {
+		tag := f.Tag.Get("json")
+		if f.Anonymous || !f.IsExported() || tag == "-" {
+			continue
+		}
+		name, _, _ := strings.Cut(tag, ",")
+		if name == "" {
+			name = f.Name
+		}
+		fs = append(fs, wireField{name: name, index: f.Index})
+	}
+	cached, _ := wireFieldTables.LoadOrStore(t, fs)
+	return cached.([]wireField)
 }
 
 // maxWireDepth is encoding/json's nesting limit; the decoder counts depth
@@ -66,7 +87,7 @@ func (d *wireDecoder) release() {
 }
 
 // decode fills dst from d.buf, which must hold exactly one JSON value.
-func (d *wireDecoder) decode(dst wireObject) error {
+func (d *wireDecoder) decode(dst any) error {
 	d.pos, d.depth, d.open = 0, 0, d.open[:0]
 	if err := d.object(dst); err != nil {
 		return err
@@ -140,8 +161,12 @@ func (d *wireDecoder) next(closing byte) (closed bool, err error) {
 	return false, d.errAt(d.pos, "want ',' or '"+string(closing)+"' after a value")
 }
 
-// object decodes the value at pos into dst member by member.
-func (d *wireDecoder) object(dst wireObject) error {
+// object decodes the value at pos into dst, a pointer to a request
+// struct, member by member. A member name selects a field as encoding/json
+// matches them: under Unicode simple case folding (its exact-match-first
+// rule only matters when two names fold together, which no request type
+// has: TestWireNamesDoNotFold).
+func (d *wireDecoder) object(dst any) error {
 	if d.space(); d.peek() != '{' {
 		return d.std(dst) // null is a no-op, the rest type errors: encoding/json's call
 	}
@@ -151,6 +176,8 @@ func (d *wireDecoder) object(dst wireObject) error {
 	if d.empty('}') {
 		return nil
 	}
+	v := reflect.ValueOf(dst).Elem()
+	fields := wireFields(v.Type())
 	for {
 		raw, err := d.name()
 		if err != nil {
@@ -164,8 +191,15 @@ func (d *wireDecoder) object(dst wireObject) error {
 			}
 			key = []byte(s)
 		}
+		var field any
+		for _, f := range fields {
+			if strings.EqualFold(string(key), f.name) {
+				field = v.FieldByIndex(f.index).Addr().Interface()
+				break
+			}
+		}
 		d.space()
-		if err := d.member(dst.wireMember(key)); err != nil {
+		if err := d.member(field); err != nil {
 			return fmt.Errorf("member %q: %w", key, err)
 		}
 		if closed, err := d.next('}'); closed || err != nil {
@@ -174,8 +208,8 @@ func (d *wireDecoder) object(dst wireObject) error {
 	}
 }
 
-// member decodes the value at pos into dst, a field pointer from
-// wireMember, choosing the decoder by dst's type.
+// member decodes the value at pos into dst, a field pointer (nil for a
+// member the struct does not have), choosing the decoder by dst's type.
 func (d *wireDecoder) member(dst any) error {
 	switch dst := dst.(type) {
 	case nil:
@@ -213,10 +247,7 @@ func (d *wireDecoder) std(dst any) error {
 // wireArray decodes an array of objects. A second occurrence of the
 // member decodes into the elements of the first under encoding/json, so
 // that case is left to it.
-func wireArray[T any, P interface {
-	*T
-	wireObject
-}](d *wireDecoder, dst *[]T) error {
+func wireArray[T any](d *wireDecoder, dst *[]T) error {
 	if *dst != nil || d.peek() != '[' {
 		return d.std(dst)
 	}
@@ -231,7 +262,7 @@ func wireArray[T any, P interface {
 	for {
 		var zero T
 		out = append(out, zero)
-		if err := d.object(P(&out[len(out)-1])); err != nil {
+		if err := d.object(&out[len(out)-1]); err != nil {
 			return err
 		}
 		if closed, err := d.next(']'); closed || err != nil {

@@ -15,17 +15,17 @@ import (
 )
 
 // wireTargets makes a fresh request of every type a POST route decodes.
-var wireTargets = []func() wireObject{
-	func() wireObject { return new(predictRequest) },
-	func() wireObject { return new(predictBatchRequest) },
-	func() wireObject { return new(defendHTTPRequest) },
-	func() wireObject { return new(detectHTTPRequest) },
-	func() wireObject { return new(attackHTTPRequest) },
-	func() wireObject { return new(evalHTTPRequest) },
-	func() wireObject { return new(modelsActionRequest) },
+var wireTargets = []func() any{
+	func() any { return new(predictRequest) },
+	func() any { return new(predictBatchRequest) },
+	func() any { return new(defendHTTPRequest) },
+	func() any { return new(detectHTTPRequest) },
+	func() any { return new(attackHTTPRequest) },
+	func() any { return new(evalHTTPRequest) },
+	func() any { return new(modelsActionRequest) },
 }
 
-func decodeWire(data []byte, dst wireObject) error {
+func decodeWire(data []byte, dst any) error {
 	d := wireDecoder{buf: data}
 	return d.decode(dst)
 }
@@ -172,9 +172,9 @@ func fillNonZero(v reflect.Value) {
 	}
 }
 
-// TestWireCoversEveryField catches a field added to a request struct but
-// not to its wireMember: a body carrying every field must decode to the
-// value it was marshalled from.
+// TestWireCoversEveryField guards the tag-to-table builder (wireFields):
+// a body carrying every field of a request struct, marshalled by
+// encoding/json from its tags, must decode to the value it came from.
 func TestWireCoversEveryField(t *testing.T) {
 	for _, mk := range wireTargets {
 		want := mk()
@@ -191,6 +191,27 @@ func TestWireCoversEveryField(t *testing.T) {
 			t.Errorf("%T: decoded %+v, want %+v (body %s)", want, got, want, body)
 		}
 		checkWireAgrees(t, body)
+	}
+}
+
+// TestWireNamesDoNotFold pins the precondition of the decoder's
+// first-match lookup: no two member names of a request type fold together
+// under strings.EqualFold, the only case in which encoding/json's
+// exact-match-first rule could pick a different field.
+func TestWireNamesDoNotFold(t *testing.T) {
+	types := []reflect.Type{reflect.TypeFor[imagePayload](), reflect.TypeFor[evalHTTPCase]()}
+	for _, mk := range wireTargets {
+		types = append(types, reflect.TypeOf(mk()).Elem())
+	}
+	for _, typ := range types {
+		fields := wireFields(typ)
+		for i, a := range fields {
+			for _, b := range fields[i+1:] {
+				if strings.EqualFold(a.name, b.name) {
+					t.Errorf("%v: members %q and %q fold together", typ, a.name, b.name)
+				}
+			}
+		}
 	}
 }
 
@@ -284,16 +305,13 @@ func TestWireDecodeAllocs(t *testing.T) {
 // the same body in the same process (each side's fastest of ten alternating
 // rounds, so a noisy neighbour does not decide it): CI runs it at -benchtime 300x
 // and fails under 2×.
-func benchWire[T any, P interface {
-	*T
-	wireObject
-}](b *testing.B, body []byte) {
+func benchWire[T any](b *testing.B, body []byte) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	d := wireDecoder{buf: body}
 	wire := func() {
 		var req T
-		if err := d.decode(P(&req)); err != nil {
+		if err := d.decode(&req); err != nil {
 			b.Fatal(err)
 		}
 	}
