@@ -69,29 +69,40 @@ func TestEvaluateAdaptiveAxis(t *testing.T) {
 	}
 }
 
-// TestEvaluateAdaptiveLegacyLabels pins backward compatibility: a sweep
-// without an Adaptive axis keeps the single legacy series, labelled
-// blind (or bpda when FilterAware), and reports no gaps.
+// TestEvaluateAdaptiveLegacyLabels pins backward compatibility on
+// /v1/evaluate: a sweep without an "adaptive" axis keeps the single
+// legacy series, labelled blind (or bpda for "aware": true), and reports
+// no gaps.
 func TestEvaluateAdaptiveLegacyLabels(t *testing.T) {
 	s := attackServer(t, attacks.Budget{MaxQueries: 60})
-	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
 	for _, c := range []struct {
 		aware bool
 		want  string
 	}{{false, "blind"}, {true, "bpda"}} {
-		res, err := s.Evaluate(t.Context(), EvaluateRequest{
-			Specs:       []string{"fgsm(eps=0.1)"},
-			TMs:         []pipeline.ThreatModel{pipeline.TM3},
-			FilterAware: c.aware,
+		resp, data := postJSON(t, ts.URL+"/v1/evaluate", map[string]any{
+			"attacks": []string{"fgsm(eps=0.1)"},
+			"tms":     []string{"3"},
+			"aware":   c.aware,
 		})
-		if err != nil {
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("aware=%v: evaluate status %d: %s", c.aware, resp.StatusCode, data)
+		}
+		var out struct {
+			Summaries []struct {
+				Adaptive string `json:"adaptive"`
+			} `json:"summaries"`
+			Gaps json.RawMessage `json:"gaps"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Summaries) != 1 || res.Summaries[0].Adaptive != c.want {
-			t.Errorf("FilterAware=%v: summaries %+v, want one %q series", c.aware, res.Summaries, c.want)
+		if len(out.Summaries) != 1 || out.Summaries[0].Adaptive != c.want {
+			t.Errorf("aware=%v: summaries %+v, want one %q series", c.aware, out.Summaries, c.want)
 		}
-		if res.Gaps != nil {
-			t.Errorf("FilterAware=%v: legacy sweep reported gaps", c.aware)
+		if out.Gaps != nil {
+			t.Errorf("aware=%v: legacy sweep reported gaps %s", c.aware, out.Gaps)
 		}
 	}
 }

@@ -52,12 +52,9 @@ type AttackRequest struct {
 	// TM is the threat model for the deployed-side measurement; 0 selects
 	// the server default (TM3 when the default is the unfiltered TM1).
 	TM pipeline.ThreatModel
-	// FilterAware wraps the attack in FAdeML so it models the deployed
-	// pre-processing (and acquisition under TM2).
-	FilterAware bool
-	// Adaptive, when non-empty, overrides FilterAware with an explicit
-	// crafting mode spec: "blind", "bpda", or "eot(draws=N)" (see
-	// attacks.ParseAdaptive).
+	// Adaptive is the crafting mode spec (see attacks.ParseAdaptive):
+	// "blind" or empty, "bpda" — FAdeML, which models the deployed
+	// pre-processing (and acquisition under TM2) — or "eot(draws=N)".
 	Adaptive string
 	// Model selects the attacked model version ("" = active default; see
 	// Request.Model for the reference syntax).
@@ -109,13 +106,12 @@ func (s *Server) Attack(ctx context.Context, req AttackRequest) (*core.Outcome, 
 	ctx, cancel := s.attackContext(ctx)
 	defer cancel()
 	return core.Execute(ctx, core.Run{
-		Pipeline:    a.pipe,
-		Attack:      atk,
-		FilterAware: req.FilterAware,
-		Adaptive:    mode,
-		Seed:        evalEOTSeed,
-		TM:          tm,
-		Budget:      s.opts.AttackBudget,
+		Pipeline: a.pipe,
+		Attack:   atk,
+		Adaptive: mode,
+		Seed:     evalEOTSeed,
+		TM:       tm,
+		Budget:   s.opts.AttackBudget,
 	}, img, req.Source, req.Target)
 }
 
@@ -139,23 +135,21 @@ type EvaluateRequest struct {
 	// Filters are filter spec strings overriding the deployed
 	// pre-processing per series ("none" measures the unfiltered
 	// deployment; "chain(...)" composes). Empty sweeps the deployed
-	// filter only. Filter-blind crafting (FilterAware false) runs once
-	// per attack × case and is shared across this axis — cells of the
-	// same example echo the same Queries/Truncated accounting.
+	// filter only. Blind crafting runs once per attack × case and is
+	// shared across this axis — cells of the same example echo the same
+	// Queries/Truncated accounting.
 	Filters []string
 	// Cases are the scenarios (default: Options.EvalCases).
 	Cases []EvalCase
-	// FilterAware crafts filter-aware (FAdeML) instead of filter-blind.
-	FilterAware bool
-	// Adaptive, when non-empty, replaces the single FilterAware crafting
-	// mode with an explicit axis of crafting modes — "blind", "bpda",
-	// "eot(draws=N)" — so one sweep measures the same attack × tm ×
-	// filter × case grid under several attacker strengths. Sweeps whose
-	// axis includes "blind" plus at least one adaptive mode also report
-	// per-series fooling-rate gaps (EvaluateResult.Gaps), the honest
-	// robustness number for a randomized defense. Blind crafting is
-	// shared across the tm × filter axes as before; bpda and eot craft
-	// per cell (their optimization folds the cell's chain in).
+	// Adaptive is the axis of crafting modes — "blind", "bpda" (FAdeML),
+	// "eot(draws=N)"; empty crafts blind only — so one sweep measures the
+	// same attack × tm × filter × case grid under several attacker
+	// strengths. Sweeps whose axis includes "blind" plus at least one
+	// adaptive mode also report per-series fooling-rate gaps
+	// (EvaluateResult.Gaps), the honest robustness number for a
+	// randomized defense. Blind crafting is shared across the tm × filter
+	// axes as before; bpda and eot craft per cell (their optimization
+	// folds the cell's chain in).
 	Adaptive []string
 	// Model selects the evaluated model version ("" = active default); it
 	// is pinned for the whole sweep, so a hot-swap mid-sweep cannot mix
@@ -337,13 +331,8 @@ func (s *Server) Evaluate(ctx context.Context, req EvaluateRequest) (*EvaluateRe
 			return nil, err
 		}
 	}
-	// The adaptive axis: explicit crafting modes, or the single legacy
-	// mode FilterAware selects (blind, or bpda — FAdeML through the
-	// deployed chain — which is what FilterAware always meant).
+	// The adaptive axis: explicit crafting modes, or blind alone.
 	modes := []attacks.AdaptiveMode{{Kind: attacks.AdaptiveBlind}}
-	if req.FilterAware {
-		modes[0].Kind = attacks.AdaptiveBPDA
-	}
 	if len(req.Adaptive) > 0 {
 		if modes, err = parseEach(req.Adaptive, attacks.ParseAdaptive); err != nil {
 			return nil, err

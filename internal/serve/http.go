@@ -253,9 +253,10 @@ type attackHTTPRequest struct {
 	// Target defaults to untargeted when the field is omitted.
 	Target *int   `json:"target"`
 	TM     string `json:"tm,omitempty"`
-	Aware  bool   `json:"aware,omitempty"`
-	// Adaptive overrides Aware with an explicit crafting mode spec
-	// ("blind", "bpda", "eot(draws=N)").
+	// Aware is shorthand for "adaptive": "bpda" (FAdeML crafting).
+	Aware bool `json:"aware,omitempty"`
+	// Adaptive is the crafting mode spec ("blind", "bpda",
+	// "eot(draws=N)"); it overrides Aware.
 	Adaptive string `json:"adaptive,omitempty"`
 	// Model selects the attacked model ("" = active default).
 	Model string `json:"model,omitempty"`
@@ -298,16 +299,18 @@ func (s *Server) routeAttack(ctx context.Context, req *attackHTTPRequest) (any, 
 			return nil, err
 		}
 	}
-	target := attackTargetOrUntargeted(req.Target)
+	adaptive := req.Adaptive
+	if adaptive == "" && req.Aware {
+		adaptive = attacks.AdaptiveBPDA
+	}
 	out, err := s.Attack(ctx, AttackRequest{
-		Spec:        req.Attack,
-		Image:       img,
-		Source:      req.Source,
-		Target:      target,
-		TM:          tm,
-		FilterAware: req.Aware,
-		Adaptive:    req.Adaptive,
-		Model:       req.Model,
+		Spec:     req.Attack,
+		Image:    img,
+		Source:   req.Source,
+		Target:   attackTargetOrUntargeted(req.Target),
+		TM:       tm,
+		Adaptive: adaptive,
+		Model:    req.Model,
 	})
 	if err != nil {
 		return nil, err
@@ -358,10 +361,11 @@ type evalHTTPRequest struct {
 	// per series; empty sweeps the deployed filter only.
 	Filters []string       `json:"filters,omitempty"`
 	Cases   []evalHTTPCase `json:"cases,omitempty"`
-	Aware   bool           `json:"aware,omitempty"`
+	// Aware is shorthand for "adaptive": ["bpda"] (FAdeML crafting).
+	Aware bool `json:"aware,omitempty"`
 	// Adaptive sweeps explicit crafting modes ("blind", "bpda",
-	// "eot(draws=N)") instead of the single mode Aware selects; a sweep
-	// containing "blind" plus stronger modes also returns "gaps".
+	// "eot(draws=N)") and overrides Aware; a sweep containing "blind"
+	// plus stronger modes also returns "gaps".
 	Adaptive []string `json:"adaptive,omitempty"`
 	// Model pins the evaluated model for the whole sweep.
 	Model string `json:"model,omitempty"`
@@ -394,15 +398,18 @@ func (s *Server) routeEvaluate(ctx context.Context, req *evalHTTPRequest) (any, 
 		}
 		cases = append(cases, ec)
 	}
+	adaptive := req.Adaptive
+	if len(adaptive) == 0 && req.Aware {
+		adaptive = []string{attacks.AdaptiveBPDA}
+	}
 	out, err := s.Evaluate(ctx, EvaluateRequest{
-		Specs:       req.Attacks,
-		TMs:         tms,
-		Filters:     req.Filters,
-		Cases:       cases,
-		FilterAware: req.Aware,
-		Adaptive:    req.Adaptive,
-		Model:       req.Model,
-		Detector:    req.Detector,
+		Specs:    req.Attacks,
+		TMs:      tms,
+		Filters:  req.Filters,
+		Cases:    cases,
+		Adaptive: adaptive,
+		Model:    req.Model,
+		Detector: req.Detector,
 	})
 	if err != nil {
 		return nil, err
